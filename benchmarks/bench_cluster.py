@@ -1,17 +1,16 @@
 #!/usr/bin/env python
-"""Distributed-cluster speedup gate: persistent workers vs per-sweep pools.
+"""Distributed-cluster speedup gate: 4 persistent workers vs one host.
 
 The acceptance bar of the distributed backend: on a >= 50k-point
 architecture grid, a 4-worker shard cluster must evaluate cold sweeps
-at least **2x faster** than the single-host ``"process"`` engine with
-the same 4 workers.  The win is architectural, not magical: the cluster
+at least **2x faster** than the fastest single-host path, the in-place
+vectorized engine (``sweep_grid(engine="vectorized")``).  The cluster
 keeps its worker processes alive across sweeps (interpreter + NumPy
 startup and calibration pre-warm paid once, leases dispatched over
-latency-tuned keep-alive connections), where every
-``sweep_grid(engine="process")`` call builds a fresh process pool and
-re-pays the startup and per-task IPC — so the gate holds even on a
-single core, and widens when real cores let workers evaluate blocks in
-parallel.
+keep-alive connections), but it still pays block transport and
+assembly, so the gate can only hold where workers on real cores (or
+hosts) evaluate blocks in parallel faster than one process evaluates
+the whole grid.
 
 Both sides evaluate the same sequence of *distinct* cold grids (one
 clock value perturbed per iteration) so neither the whole-grid memo nor
@@ -46,9 +45,9 @@ import numpy as np
 from repro.api import DistributedBackend, SweepGrid
 from repro.core.dse import sweep_grid
 
-#: the acceptance floor: cluster median vs single-host process median
+#: the acceptance floor: cluster best-of-N vs single-host vectorized best-of-N
 MIN_SPEEDUP = 2.0
-#: workers on both sides of the duel
+#: shard-cluster workers
 N_WORKERS = 4
 #: the gate is defined on a grid at least this large
 MIN_GRID_POINTS = 50_000
@@ -72,14 +71,12 @@ def probe(iterations: int) -> dict:
     grid_points = build_grid(0).size
     assert grid_points >= MIN_GRID_POINTS, grid_points
 
-    # -- single-host baseline: the "process" engine, 4 workers ------------
-    # (a fresh pool per call — exactly what a single-host user gets today)
+    # -- single-host baseline: the in-place vectorized engine -------------
     single_host_s = []
     for i in range(iterations):
         grid = build_grid(i)
         start = time.perf_counter()
-        sweep_grid(grid, engine="process", max_workers=N_WORKERS,
-                   use_cache=False)
+        sweep_grid(grid, engine="vectorized", use_cache=False)
         single_host_s.append(time.perf_counter() - start)
 
     # -- distributed: 4 persistent workers behind the shard coordinator ---
@@ -144,11 +141,10 @@ def main() -> int:
     results["quick"] = args.quick
 
     print(f"grid: {results['grid_points']:,} points, "
-          f"{results['n_workers']} workers on both sides")
-    print(f"single-host process engine: "
+          f"{results['n_workers']} cluster workers")
+    print(f"single-host vectorized:     "
           f"{results['single_host_s_best'] * 1000:8.1f} ms best "
-          f"({results['single_host_s_median'] * 1000:.1f} ms median; "
-          f"pool built per sweep)")
+          f"({results['single_host_s_median'] * 1000:.1f} ms median)")
     print(f"distributed shard cluster:  "
           f"{results['distributed_s_best'] * 1000:8.1f} ms best "
           f"({results['distributed_s_median'] * 1000:.1f} ms median; "
@@ -166,7 +162,7 @@ def main() -> int:
     if results["speedup"] < MIN_SPEEDUP:
         failures.append(
             f"speedup gate: {results['speedup']:.2f}x over the single-host "
-            f"process engine (floor {MIN_SPEEDUP:.1f}x)"
+            f"vectorized engine (floor {MIN_SPEEDUP:.1f}x)"
         )
     if results["cluster_workers_registered"] < N_WORKERS:
         failures.append(

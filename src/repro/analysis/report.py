@@ -181,7 +181,7 @@ def serving_section() -> List[str]:
         "axis values included — maps to one cache entry.  Concurrent",
         "identical requests coalesce into a single in-flight evaluation",
         "(single-flight futures), and evaluation runs off the event loop",
-        "in the block-sharded process pool, so cached queries answer in",
+        "in an executor thread, so cached queries answer in",
         "milliseconds while a cold 50k-point sweep is in progress",
         "(`benchmarks/bench_service.py` gates < 50 ms).\n",
         "| endpoint | body | answer |",
@@ -251,7 +251,7 @@ def api_section() -> List[str]:
         "| backend | constructor | evaluation | transport |",
         "|---|---|---|---|",
         "| local | `Session()` / `Session.local(engine=...)` | "
-        "`sweep_grid` (auto vectorized / block-parallel) + memoized scalar "
+        "`sweep_grid` (in-place vectorized) + memoized scalar "
         "emulate | in-process |",
         "| remote | `Session.remote(host, port)` | a running "
         "`python -m repro serve` (coalescing + LRU) | one keep-alive HTTP "

@@ -13,8 +13,8 @@ round-trip via JSON shortest-repr) that the local backend computes
 in-process.
 
 - :class:`LocalBackend` — wraps :func:`~repro.core.dse.sweep_grid`
-  (with the ``"auto"`` engine picking vectorized vs block-parallel by
-  grid size) and the memoized scalar
+  (the ``"auto"`` engine is the in-place vectorized one) and the
+  memoized scalar
   :func:`~repro.core.emulator.emulate` path.  Pass ``store=`` (a
   :class:`~repro.store.ResultStore` or directory path) to evaluate
   through the persistent tier instead: sweeps load memory-mapped from
@@ -56,12 +56,13 @@ from repro.core.dse import (
     assemble_shard_blocks,
     block_fingerprint,
     finalize_sweep_result,
-    shard_plan,
     shard_task_shape,
     store_block_plan,
+    stream_plan,
     sweep_fingerprint,
     sweep_grid,
     task_batch_kwargs,
+    window_major,
 )
 from repro.core.emulator import emulate, emulate_batch, emulate_with_config
 from repro.errors import BackendUnavailableError
@@ -148,7 +149,6 @@ class LocalBackend(Backend):
         self,
         engine: str = "auto",
         ngpc: Optional[NGPCConfig] = None,
-        max_workers: Optional[int] = None,
         use_cache: bool = True,
         store: Union[ResultStore, str, None] = None,
     ):
@@ -156,7 +156,6 @@ class LocalBackend(Backend):
             raise ValueError(f"unknown engine {engine!r}; choose from {_ENGINES}")
         self.engine = engine
         self.ngpc = ngpc
-        self.max_workers = max_workers
         self.use_cache = use_cache
         if isinstance(store, str):
             store = ResultStore(store)
@@ -175,11 +174,7 @@ class LocalBackend(Backend):
                 use_cache=self.use_cache,
             )
         return sweep_grid(
-            grid,
-            engine=self.engine,
-            ngpc=self.ngpc,
-            max_workers=self.max_workers,
-            use_cache=self.use_cache,
+            grid, engine=self.engine, ngpc=self.ngpc, use_cache=self.use_cache
         )
 
     def point(
@@ -211,7 +206,7 @@ class LocalBackend(Backend):
         """Blockwise in-process evaluation, yielding events per block.
 
         Without a store, the grid is cut by
-        :func:`~repro.core.dse.shard_plan`; with one, by
+        :func:`~repro.core.dse.stream_plan`; with one, by
         :func:`~repro.core.dse.store_block_plan` so every block rides
         the persistent tier (hits are streamed too — a warm store
         streams its fronts in milliseconds).  Both cuts are walked
@@ -270,14 +265,9 @@ class LocalBackend(Backend):
                     _SWEEP_CACHE.put(ram_key, persisted)
                 yield from terminal_events(persisted, True)
                 return
-            plan = store_block_plan(resolved)
+            plan = window_major(store_block_plan(resolved))
         else:
-            n_pairs = max(1, len(resolved.apps) * len(resolved.schemes))
-            windows = max(1, min(32, resolved.size // (256 * n_pairs)))
-            plan = shard_plan(resolved, windows * n_pairs)
-        plan = sorted(
-            plan, key=lambda entry: (entry[0][2], entry[0][0], entry[0][1])
-        )
+            plan = stream_plan(resolved)
         self.tier["evaluations"] += 1
         if self.store is not None:
             self.tier["blocks_total"] += len(plan)
@@ -480,15 +470,14 @@ class DistributedBackend(Backend):
     ``workers`` local ``repro worker`` subprocesses and accepting any
     remote host that runs ``repro worker --host <host> --port <port>``.
 
-    Evaluation is the ``"process"`` engine's block sharding lifted over
-    HTTP: the grid's contiguous vectorized block tasks are leased to
-    workers (re-leased on worker death or lease timeout), evaluated
-    with calibration installed once per worker generation, and the
-    dense float64 arrays stream back for assembly into one
+    Evaluation is :func:`~repro.core.dse.shard_plan`'s block sharding
+    lifted over HTTP: the grid's contiguous vectorized block tasks are
+    leased to workers (re-leased on worker death or lease timeout),
+    evaluated with calibration installed once per worker generation,
+    and the dense float64 arrays stream back for assembly into one
     :class:`SweepResult` — so results are bit-identical to a local
     evaluation.  Persistent workers amortize interpreter/NumPy startup
-    and calibration pre-warm across sweeps, where every
-    ``sweep_grid(engine="process")`` call pays them anew.
+    and calibration pre-warm across sweeps.
 
     ``lease_timeout_s`` bounds how long a dead worker can strand a
     block; ``block_delay_s`` is the fault-injection knob forwarded to
@@ -525,9 +514,7 @@ class DistributedBackend(Backend):
         )
         self._sweep_timeout_s = sweep_timeout_s
 
-        def cluster_sweep_fn(
-            grid, engine="cluster", ngpc=None, max_workers=None, on_block=None
-        ):
+        def cluster_sweep_fn(grid, engine="cluster", ngpc=None, on_block=None):
             return self.coordinator.sweep_blocking(
                 grid, ngpc=ngpc, timeout_s=self._sweep_timeout_s,
                 on_block=on_block,

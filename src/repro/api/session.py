@@ -420,11 +420,10 @@ class Session:
         cls,
         engine: str = "auto",
         ngpc: Optional[NGPCConfig] = None,
-        max_workers: Optional[int] = None,
         use_cache: bool = True,
         store=None,
     ) -> "Session":
-        """An in-process session (engine ``"auto"`` sizes itself).
+        """An in-process session (engine ``"auto"`` = in-place vectorized).
 
         ``store`` (a :class:`~repro.store.ResultStore` or a directory
         path) routes evaluation through the persistent tier: persisted
@@ -432,8 +431,7 @@ class Session:
         blocks no previous sweep covered.
         """
         return cls(LocalBackend(
-            engine=engine, ngpc=ngpc, max_workers=max_workers,
-            use_cache=use_cache, store=store,
+            engine=engine, ngpc=ngpc, use_cache=use_cache, store=store,
         ))
 
     @classmethod

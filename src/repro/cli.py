@@ -356,7 +356,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     service = SweepService(
         engine=args.engine,
         max_cached_sweeps=args.cache_size,
-        max_workers=args.workers,
         store=args.store,
         explore=args.explore,
     )
@@ -611,8 +610,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pixels", type=int, default=FHD_PIXELS)
     p.add_argument("--fps", type=_positive_float, default=None,
                    help="also answer: cheapest config meeting this FPS target")
-    p.add_argument("--engine", choices=("vectorized", "scalar", "process", "auto"),
-                   default="vectorized")
+    p.add_argument("--engine", choices=("vectorized", "scalar", "auto"),
+                   default="vectorized",
+                   help="'vectorized' evaluates in place with NumPy; "
+                        "'scalar' is the per-point reference loop; 'auto' "
+                        "is an alias of 'vectorized'")
     p.add_argument("--sweep", action="append", type=_sweep_spec, default=None,
                    metavar="AXIS=V1:V2[,AXIS=...]",
                    help="sweep architecture axes (repeatable); see examples below")
@@ -647,17 +649,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8787,
                    help="TCP port (0 picks an ephemeral port)")
     p.add_argument("--engine",
-                   choices=("vectorized", "scalar", "process", "auto",
-                            "cluster"),
+                   choices=("vectorized", "scalar", "auto", "cluster"),
                    default="auto",
-                   help="local engines, or 'cluster' to distribute block "
+                   help="local engines ('auto' is an alias of "
+                        "'vectorized'), or 'cluster' to distribute block "
                         "shards over workers (serves /cluster/* on the "
                         "same port for `repro worker` to join)")
     p.add_argument("--cache-size", type=int, default=32,
                    help="max cached SweepResults (LRU)")
     p.add_argument("--workers", type=int, default=None,
-                   help="process-pool workers for the block-sharded engine; "
-                        "with --engine cluster: local shard workers to spawn")
+                   help="with --engine cluster: local shard workers to spawn")
     p.add_argument("--lease-timeout", type=_positive_float, default=10.0,
                    help="cluster block-lease timeout in seconds (a dead "
                         "worker's blocks are re-leased after this long)")

@@ -12,17 +12,15 @@ query over the full N-dimensional cartesian space of
   batch count — and :func:`sweep_grid` evaluates *all* of it in one
   call, returning a :class:`SweepResult` of dense NumPy arrays shaped
   ``grid.shape``.
-- Four interchangeable engines: ``"vectorized"`` (NumPy broadcasting
-  through the ``*_batch`` fast paths of the core models — the default),
-  ``"scalar"`` (the original one-:func:`~repro.core.emulator.emulate`-
-  per-point loop, memoized), ``"process"`` (the grid is sharded into
-  contiguous vectorized blocks of ~size/(4·workers) points, dispatched
-  to a :mod:`concurrent.futures` process pool whose initializer installs
-  the calibration constants once per worker), and ``"auto"`` (picks
-  vectorized vs block-parallel from the grid size and core count).  All
-  engines produce numerically identical results; the equivalence harness
-  in ``tests/test_sweep_engine.py`` enforces agreement to 1e-9 relative,
-  and ``tests/test_golden_values.py`` pins the absolute values.
+- Two engines: ``"vectorized"`` (NumPy broadcasting through the
+  ``*_batch`` fast paths of the core models, each (app, scheme) block
+  written straight into one preallocated set of result arrays — the
+  default) and ``"scalar"`` (the original one-
+  :func:`~repro.core.emulator.emulate`-per-point loop, memoized), plus
+  ``"auto"``, an accepted alias of ``"vectorized"``.  Both engines
+  produce identical results; the equivalence harness in
+  ``tests/test_sweep_engine.py`` enforces bit-for-bit agreement, and
+  ``tests/test_golden_values.py`` pins the absolute values.
 - Whole-grid memoization keyed on (grid, engine, NGPCConfig, calibration
   fingerprint), so repeated queries — Pareto fronts, FPS constraints,
   report generation — reuse one evaluation.
@@ -40,7 +38,6 @@ run on top of the batched engine.
 from __future__ import annotations
 
 import itertools
-import os
 import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -72,6 +69,7 @@ from repro.core.cache import (
 )
 from repro.core.config import NFPConfig, NGPCConfig, SCALE_FACTORS
 from repro.core.emulator import (
+    TIMING_FIELDS as _TIMING_FIELDS,
     EmulationResult,
     emulate_batch,
     emulate_with_config,
@@ -652,21 +650,17 @@ class SweepResult:
         j = self.grid.schemes.index(scheme)
         l = self._axis_index("n_pixels", n_pixels, self.grid.pixel_counts)
         enc = self._encoding_slice(gridtype, log2_hashmap_size, per_level_scale)
-        speedup = self.speedup
-        plane = speedup[:, j, :, l]  # (A, K, C, G, E, B[, T, H, R])
-        if enc:
-            plane = plane[..., enc[0], enc[1], enc[2]]
+        plane = (slice(None), j, slice(None), l) + (Ellipsis,) + enc
+        # (A, K, C, G, E, B): the queried plane only, never the full grid
+        speedup = self.baseline_ms[plane] / self.accelerated_ms[plane]
         if app is None:
-            benefit = plane.mean(axis=0)  # (K, C, G, E, B)
+            benefit = speedup.mean(axis=0)  # (K, C, G, E, B)
         else:
-            benefit = plane[self.grid.apps.index(app)]
-        cost = np.broadcast_to(self.area_overhead_pct[..., None], benefit.shape)
-        keep = pareto_front(cost.reshape(-1), benefit.reshape(-1))
+            benefit = speedup[self.grid.apps.index(app)]
         points = []
-        for flat in keep:
-            k, c, g, e, b = np.unravel_index(flat, benefit.shape)
+        for k, c, g, e, b in design_front(benefit, self.area_overhead_pct):
             speedups = {
-                a: float(speedup[(i, j, k, l, c, g, e, b) + enc])
+                a: float(speedup[i, k, c, g, e, b])
                 for i, a in enumerate(self.grid.apps)
             }
             points.append(
@@ -702,13 +696,15 @@ class SweepResult:
         cost = np.broadcast_to(self.area_overhead_pct[..., None], values.shape)
         flat = int(np.argmin(np.where(feasible, cost, np.inf)))
         k, c, g, e, b = np.unravel_index(flat, values.shape)
-        speedup = self.speedup
+        point = (j, k, l, c, g, e, b) + enc
         return DesignPoint(
             scale_factor=self.grid.scale_factors[k],
             area_overhead_pct=float(self.area_overhead_pct[k, c, g, e]),
             power_overhead_pct=float(self.power_overhead_pct[k, c, g, e]),
             speedups={
-                a: float(speedup[(ia, j, k, l, c, g, e, b) + enc])
+                # the one point's division, bit-identical to self.speedup
+                a: float(self.baseline_ms[(ia,) + point]
+                         / self.accelerated_ms[(ia,) + point])
                 for ia, a in enumerate(self.grid.apps)
             },
             config_axes=self._config_axes(c, g, e, b, enc),
@@ -797,21 +793,7 @@ _SWEEP_CACHE = ModelCache("sweep_grid", maxsize=128)
 #: 100k+-point exploration sweeps)
 _SWEEP_CACHE_MAX_POINTS = 1 << 16
 
-_ENGINES = ("vectorized", "scalar", "process", "auto")
-
-#: the "auto" engine dispatches vectorized blocks to the process pool
-#: once the grid is big enough to amortize worker startup — and only
-#: when there is more than one core to win from
-AUTO_PROCESS_MIN_POINTS = 200_000
-
-_TIMING_FIELDS = (
-    "baseline_ms",
-    "accelerated_ms",
-    "encoding_engine_ms",
-    "mlp_engine_ms",
-    "dma_ms",
-    "fused_rest_ms",
-)
+_ENGINES = ("vectorized", "scalar", "auto")
 
 #: every array field of :class:`SweepResult`, in dataclass order — the
 #: payload schema of :meth:`SweepResult.to_payload`
@@ -987,13 +969,9 @@ def store_block_plan(grid: SweepGrid) -> List[Tuple[Tuple, Tuple]]:
 
 
 def _resolve_engine(engine: str, grid: SweepGrid) -> str:
-    """Map "auto" onto a concrete engine by grid size and core count."""
-    if engine != "auto":
-        return engine
-    n_cores = os.cpu_count() or 1
-    if grid.size >= AUTO_PROCESS_MIN_POINTS and n_cores > 1:
-        return "process"
-    return "vectorized"
+    """Map "auto" onto a concrete engine: "vectorized" at every size
+    (no other engine is faster on one host at any grid size)."""
+    return "vectorized" if engine == "auto" else engine
 
 
 def _scalar_result(
@@ -1025,45 +1003,9 @@ def _scalar_result(
     return emulate_with_config(app, scheme, config, n_pixels, encoding)
 
 
-def _batch_kwargs(grid: SweepGrid) -> Dict[str, Tuple]:
-    """The :func:`~repro.core.emulator.emulate_batch` keywords of a grid.
-
-    One entry per registered keyword axis; extension axes are passed
-    only when actively swept, so non-extended grids drive the exact
-    pre-registry batch call.
-    """
-    kwargs = {}
-    for spec in AXES:
-        if spec.batch_kwarg is None:
-            continue
-        values = getattr(grid, spec.name)
-        if spec.sentinel is not None and not grid.is_extended:
-            values = None
-        kwargs[spec.batch_kwarg] = values
-    return kwargs
-
-
-def _arrays_vectorized(grid: SweepGrid, ngpc: Optional[NGPCConfig]) -> Dict[str, np.ndarray]:
-    shape = grid.shape
-    out = {name: np.empty(shape) for name in _TIMING_FIELDS}
-    out["amdahl_bound"] = np.empty(shape[:2])
-    kwargs = _batch_kwargs(grid)
-    for i, app in enumerate(grid.apps):
-        for j, scheme in enumerate(grid.schemes):
-            block = emulate_batch(
-                app, scheme, grid.scale_factors, grid.pixel_counts, ngpc,
-                **kwargs,
-            )
-            for name in _TIMING_FIELDS:
-                out[name][i, j] = block[name]
-            out["amdahl_bound"][i, j] = block["amdahl_bound"]
-    return out
-
-
 def _arrays_scalar(grid: SweepGrid, ngpc: Optional[NGPCConfig]) -> Dict[str, np.ndarray]:
     shape = grid.shape
-    out = {name: np.empty(shape) for name in _TIMING_FIELDS}
-    out["amdahl_bound"] = np.empty(shape[:2])
+    out = _empty_result_arrays(grid)
     config_fields = grid.axis_fields[2:]
     config_axes = [getattr(grid, name) for name in config_fields]
     for i, app in enumerate(grid.apps):
@@ -1095,65 +1037,23 @@ def _arrays_scalar(grid: SweepGrid, ngpc: Optional[NGPCConfig]) -> Dict[str, np.
     return out
 
 
-# -- block-sharded process engine -------------------------------------------
+# -- block tasks -------------------------------------------------------------
 
-#: per-worker state installed by the pool initializer (base NGPC config);
-#: the calibration constants are installed directly into
+#: the base NGPC config installed by :func:`install_worker_state`; the
+#: calibration constants are installed directly into
 #: :mod:`repro.calibration.fitted`
 _WORKER_STATE: Dict[str, Optional[NGPCConfig]] = {"ngpc": None}
-
-
-def _init_sweep_worker(
-    calibration: Tuple, ngpc: Optional[NGPCConfig], schemes: Tuple[str, ...]
-) -> None:
-    """Pool initializer: one-time per-worker setup instead of per task.
-
-    Installs the parent's calibration constants (a
-    :func:`calibration_fingerprint` tuple, so workers agree with a
-    perturbed parent even under the spawn start method), stores the
-    shared base config, and pre-warms the calibration caches so the
-    first block does not pay the lane/parallelism solve.
-    """
-    from repro.calibration import fitted
-
-    overheads, fractions, samples, exponent = calibration
-    fitted.BATCH_OVERHEAD_MS_FHD_AT64.clear()
-    fitted.BATCH_OVERHEAD_MS_FHD_AT64.update(dict(overheads))
-    fitted.KERNEL_FRACTIONS.clear()
-    fitted.KERNEL_FRACTIONS.update(dict(fractions))
-    fitted.SAMPLES_PER_PIXEL.clear()
-    fitted.SAMPLES_PER_PIXEL.update(dict(samples))
-    fitted.BATCH_OVERHEAD_SCALE_EXPONENT = exponent
-    _WORKER_STATE["ngpc"] = ngpc
-    from repro.core.encoding_engine import _calibrated_lanes
-    from repro.core.mlp_engine import _calibrated_parallelism
-
-    for scheme in schemes:
-        _calibrated_lanes(scheme)
-        _calibrated_parallelism(scheme)
 
 
 def task_batch_kwargs(task: Tuple) -> Dict[str, Tuple]:
     """Map a task tuple's trailing axes onto ``emulate_batch`` keywords.
 
-    The shared task-unpacking helper of every evaluation site (process
-    pool, store, cluster workers, explorer): ``task[4:]`` pairs up with
+    The shared task-unpacking helper of every evaluation site (plan
+    evaluator, store, cluster workers, explorer): ``task[4:]`` pairs up with
     :data:`repro.core.axes.TASK_BATCH_KWARGS` in order, so 8-field
     (seed) and 11-field (extended) tasks route through one code path.
     """
     return dict(zip(TASK_BATCH_KWARGS, task[4:]))
-
-
-def _evaluate_block(task: Tuple) -> Dict[str, np.ndarray]:
-    """Process-pool worker: one contiguous vectorized block of the grid."""
-    app, scheme, scales, pixels = task[:4]
-    block = emulate_batch(
-        app, scheme, scales, pixels, _WORKER_STATE["ngpc"],
-        **task_batch_kwargs(task),
-    )
-    out = {name: block[name] for name in _TIMING_FIELDS}
-    out["amdahl_bound"] = block["amdahl_bound"]
-    return out
 
 
 def shard_plan(grid: SweepGrid, n_blocks: int) -> List[Tuple[Tuple, Tuple]]:
@@ -1170,12 +1070,11 @@ def shard_plan(grid: SweepGrid, n_blocks: int) -> List[Tuple[Tuple, Tuple]]:
     :func:`evaluate_shard_task` — plain tuples of strings and numbers,
     picklable and JSON-safe, so a task can cross process *and* host
     boundaries unchanged.  This is the shared work-unit contract of the
-    in-process ``"process"`` engine and the multi-host shard cluster
-    (:mod:`repro.service.cluster`); :func:`assemble_shard_blocks` is its
-    inverse, scattering evaluated blocks back into dense grid arrays.
+    in-process plan evaluator (:func:`evaluate_plan`) and the multi-host
+    shard cluster (:mod:`repro.service.cluster`);
+    :func:`assemble_shard_blocks` is its inverse, scattering evaluated
+    blocks back into dense grid arrays.
     """
-    import itertools
-
     axes = tuple(getattr(grid, name) for name in grid.axis_fields[2:])
     lengths = [len(axis) for axis in axes]
     per_pair = int(np.prod(lengths))
@@ -1211,6 +1110,32 @@ def shard_plan(grid: SweepGrid, n_blocks: int) -> List[Tuple[Tuple, Tuple]]:
     return tasks
 
 
+#: streamed sweeps cut up to this many windows per (app, scheme) pair,
+#: but never blocks smaller than this many points (tiny grids would
+#: otherwise drown in per-block dispatch overhead)
+_STREAM_WINDOWS = 32
+_STREAM_MIN_BLOCK = 256
+
+
+def window_major(plan: List[Tuple[Tuple, Tuple]]) -> List[Tuple[Tuple, Tuple]]:
+    """``plan`` reordered window-major: each configuration window across
+    every (app, scheme) pair before the next window, so the first fully
+    covered windows — and the first exact partial Pareto points — land
+    as early as possible."""
+    return sorted(
+        plan, key=lambda entry: (entry[0][2], entry[0][0], entry[0][1])
+    )
+
+
+def stream_plan(grid: SweepGrid) -> List[Tuple[Tuple, Tuple]]:
+    """The window-major :func:`shard_plan` of a streamed local sweep."""
+    n_pairs = max(1, len(grid.apps) * len(grid.schemes))
+    windows = max(
+        1, min(_STREAM_WINDOWS, grid.size // (_STREAM_MIN_BLOCK * n_pairs))
+    )
+    return window_major(shard_plan(grid, windows * n_pairs))
+
+
 def shard_task_shape(placement: Tuple) -> Tuple[int, ...]:
     """The timing-array shape a shard task's evaluated block must have."""
     _, _, windows = placement
@@ -1220,12 +1145,17 @@ def shard_task_shape(placement: Tuple) -> Tuple[int, ...]:
 def evaluate_shard_task(task: Tuple) -> Dict[str, np.ndarray]:
     """Evaluate one :func:`shard_plan` task with the installed worker state.
 
-    The public name of :func:`_evaluate_block`: callers outside the
-    process pool (the shard-cluster workers) evaluate leased blocks
-    through this after installing calibration via
-    :func:`install_worker_state`.
+    Shard-cluster workers evaluate leased blocks through this after
+    installing calibration via :func:`install_worker_state`.
     """
-    return _evaluate_block(task)
+    app, scheme, scales, pixels = task[:4]
+    block = emulate_batch(
+        app, scheme, scales, pixels, _WORKER_STATE["ngpc"],
+        **task_batch_kwargs(task),
+    )
+    out = {name: block[name] for name in _TIMING_FIELDS}
+    out["amdahl_bound"] = block["amdahl_bound"]
+    return out
 
 
 def install_worker_state(
@@ -1234,12 +1164,75 @@ def install_worker_state(
 ) -> None:
     """Install calibration constants + base config into this process.
 
-    The public name of the pool initializer
-    (:func:`_init_sweep_worker`): shard-cluster workers call it once per
-    calibration generation so their blocks agree bit-for-bit with the
-    coordinator's, exactly as pool workers do.
+    Shard-cluster workers call it once per calibration generation so
+    their blocks agree bit-for-bit with the coordinator's.
+    ``calibration`` is a :func:`calibration_fingerprint` tuple, so a
+    worker agrees with a perturbed coordinator even under the spawn
+    start method; the calibration caches of ``schemes`` are pre-warmed
+    so the first block does not pay the lane/parallelism solve.
     """
-    _init_sweep_worker(calibration, ngpc, tuple(schemes))
+    from repro.calibration import fitted
+    from repro.core.encoding_engine import _calibrated_lanes
+    from repro.core.mlp_engine import _calibrated_parallelism
+
+    overheads, fractions, samples, exponent = calibration
+    fitted.BATCH_OVERHEAD_MS_FHD_AT64.clear()
+    fitted.BATCH_OVERHEAD_MS_FHD_AT64.update(dict(overheads))
+    fitted.KERNEL_FRACTIONS.clear()
+    fitted.KERNEL_FRACTIONS.update(dict(fractions))
+    fitted.SAMPLES_PER_PIXEL.clear()
+    fitted.SAMPLES_PER_PIXEL.update(dict(samples))
+    fitted.BATCH_OVERHEAD_SCALE_EXPONENT = exponent
+    _WORKER_STATE["ngpc"] = ngpc
+    for scheme in schemes:
+        _calibrated_lanes(scheme)
+        _calibrated_parallelism(scheme)
+
+
+def _empty_result_arrays(grid: SweepGrid) -> Dict[str, np.ndarray]:
+    """One uninitialized set of dense timing + Amdahl arrays for ``grid``."""
+    arrays = {name: np.empty(grid.shape) for name in _TIMING_FIELDS}
+    arrays["amdahl_bound"] = np.empty(grid.shape[:2])
+    return arrays
+
+
+def _block_views(
+    arrays: Dict[str, np.ndarray], placement: Tuple
+) -> Dict[str, np.ndarray]:
+    """The timing-field views of ``arrays`` one placed block covers."""
+    i, j, windows = placement
+    dest = (i, j) + tuple(slice(lo, hi) for lo, hi in windows)
+    return {name: arrays[name][dest] for name in _TIMING_FIELDS}
+
+
+def evaluate_plan(
+    grid: SweepGrid,
+    plan,
+    ngpc: Optional[NGPCConfig] = None,
+    on_block=None,
+) -> Dict[str, np.ndarray]:
+    """Evaluate every ``(placement, task)`` of ``plan`` in place.
+
+    The one in-process block evaluator: the grid's dense result arrays
+    are allocated once and each task's
+    :func:`~repro.core.emulator.emulate_batch` call writes straight into
+    the views its placement covers — no per-block arrays, no scatter.
+    ``on_block(placement, views)``, when given, is called after each
+    block with its freshly written views (the timing fields plus the
+    scalar ``amdahl_bound``).  ``plan`` must tile ``grid`` exactly, as
+    every :func:`shard_plan` does.
+    """
+    arrays = _empty_result_arrays(grid)
+    for placement, task in plan:
+        app, scheme, scales, pixels = task[:4]
+        views = emulate_batch(
+            app, scheme, scales, pixels, ngpc,
+            out=_block_views(arrays, placement), **task_batch_kwargs(task),
+        )
+        arrays["amdahl_bound"][placement[:2]] = views["amdahl_bound"]
+        if on_block is not None:
+            on_block(placement, views)
+    return arrays
 
 
 def assemble_shard_blocks(
@@ -1251,17 +1244,16 @@ def assemble_shard_blocks(
     placement from :func:`shard_plan`, the block from
     :func:`evaluate_shard_task`.  Every grid point must be covered by
     exactly one block (guaranteed when the placements come from one
-    plan over the same grid).
+    plan over the same grid).  For blocks that arrive whole (over the
+    wire, or from the store); in-process evaluation writes in place
+    through :func:`evaluate_plan` instead.
     """
-    shape = grid.shape
-    out = {name: np.empty(shape) for name in _TIMING_FIELDS}
-    out["amdahl_bound"] = np.empty(shape[:2])
-    for (i, j, windows), block in placed_blocks:
-        dest = (i, j) + tuple(slice(lo, hi) for lo, hi in windows)
-        for name in _TIMING_FIELDS:
-            out[name][dest] = block[name]
-        out["amdahl_bound"][i, j] = block["amdahl_bound"]
-    return out
+    arrays = _empty_result_arrays(grid)
+    for placement, block in placed_blocks:
+        for name, view in _block_views(arrays, placement).items():
+            view[...] = block[name]
+        arrays["amdahl_bound"][placement[:2]] = block["amdahl_bound"]
+    return arrays
 
 
 def finalize_sweep_result(
@@ -1298,53 +1290,20 @@ def finalize_sweep_result(
     return SweepResult(grid=grid, engine=engine, **arrays)
 
 
-def _arrays_process(
-    grid: SweepGrid, ngpc: Optional[NGPCConfig], max_workers: Optional[int]
-) -> Dict[str, np.ndarray]:
-    """Block-parallel engine: vectorized shards on a process pool.
-
-    Workers evaluate whole NumPy blocks (not scalar points), so even a
-    single-core pool runs at vectorized speed; extra cores scale the
-    block throughput.  Worker initialization (calibration constants,
-    base config) happens once per worker in the pool initializer rather
-    than being pickled into every task.
-    """
-    import concurrent.futures
-    from concurrent.futures.process import BrokenProcessPool
-
-    n_workers = max_workers or os.cpu_count() or 1
-    tasks = shard_plan(grid, 4 * n_workers)
-    calibration = calibration_fingerprint()
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_init_sweep_worker,
-            initargs=(calibration, ngpc, grid.schemes),
-        ) as pool:
-            blocks = list(pool.map(_evaluate_block, [t[1] for t in tasks]))
-    except (OSError, BrokenProcessPool):  # no usable fork/spawn: degrade
-        _init_sweep_worker(calibration, ngpc, ())
-        blocks = [_evaluate_block(t[1]) for t in tasks]
-    return assemble_shard_blocks(
-        grid, zip((t[0] for t in tasks), blocks)
-    )
-
-
 def sweep_grid(
     grid: Optional[SweepGrid] = None,
     engine: str = "vectorized",
     ngpc: Optional[NGPCConfig] = None,
-    max_workers: Optional[int] = None,
     use_cache: bool = True,
 ) -> SweepResult:
     """Evaluate the full cartesian ``grid`` in one call.
 
-    ``engine`` selects "vectorized" (NumPy broadcasting, default),
-    "scalar" (memoized per-point loop), "process" (block-sharded process
-    pool: contiguous vectorized shards of ~size/(4·workers) points per
-    task) or "auto" (vectorized below :data:`AUTO_PROCESS_MIN_POINTS` or
-    on a single core, block-parallel above).  Results are memoized on
-    (grid, engine, ngpc, calibration fingerprint) for grids up to
+    ``engine`` selects "vectorized" (NumPy broadcasting, default: one
+    :func:`~repro.core.emulator.emulate_batch` block per (app, scheme)
+    pair, written in place into the result arrays by
+    :func:`evaluate_plan`), "scalar" (memoized per-point loop) or "auto"
+    (an alias of "vectorized").  Results are memoized on (grid, engine,
+    ngpc, calibration fingerprint) for grids up to
     :data:`_SWEEP_CACHE_MAX_POINTS` points; pass ``use_cache=False`` to
     force a fresh evaluation.
     """
@@ -1362,11 +1321,10 @@ def sweep_grid(
         if cached is not None:
             return cached
     if engine == "vectorized":
-        arrays = _arrays_vectorized(grid, ngpc)
-    elif engine == "scalar":
-        arrays = _arrays_scalar(grid, ngpc)
+        # shard_plan(grid, 1): one whole-hypercube block per (app, scheme)
+        arrays = evaluate_plan(grid, shard_plan(grid, 1), ngpc)
     else:
-        arrays = _arrays_process(grid, ngpc, max_workers)
+        arrays = _arrays_scalar(grid, ngpc)
     result = finalize_sweep_result(grid, engine, ngpc, arrays)
     if cacheable:
         _SWEEP_CACHE.put(key, result)
@@ -1376,6 +1334,40 @@ def sweep_grid(
 # ---------------------------------------------------------------------------
 # constraint-query APIs
 # ---------------------------------------------------------------------------
+
+
+def design_front(
+    benefit: np.ndarray,
+    area_overhead_pct: np.ndarray,
+    valid: Optional[np.ndarray] = None,
+) -> List[Tuple[int, ...]]:
+    """``(k, c, g, e, b)`` of the non-dominated points of a design plane.
+
+    ``benefit`` is a (K, C, G, E, B) speedup plane, the cost of each
+    point its (K, C, G, E) area overhead; ``valid`` optionally marks the
+    candidate points (a partial sweep's evaluated ones).  Area does not
+    depend on the batch axis, so within one cost cell every point but
+    the cell's best is dominated: the plane is reduced over B with a
+    first-index argmax before :func:`pareto_front` runs on the cells.
+    The first index keeps :func:`pareto_front`'s lowest-flat-index
+    tie-break (flat index = cell * B + b), so the answer equals
+    :func:`pareto_front` over every candidate point unreduced.
+    """
+    if valid is not None:
+        benefit = np.where(valid, benefit, -np.inf)
+    best_b = benefit.argmax(axis=-1)
+    best = np.take_along_axis(benefit, best_b[..., None], axis=-1).reshape(-1)
+    cost = area_overhead_pct.reshape(-1)
+    if valid is None:
+        keep = pareto_front(cost, best)
+    else:  # cells holding at least one candidate
+        cells = np.flatnonzero(best > -np.inf)
+        keep = cells[pareto_front(cost[cells], best[cells])]
+    return [
+        tuple(int(i) for i in np.unravel_index(cell, best_b.shape))
+        + (int(best_b.flat[cell]),)
+        for cell in keep
+    ]
 
 
 def pareto_front(costs, values) -> List[int]:

@@ -40,6 +40,18 @@ from repro.core.ngpc import (
 from repro.gpu.baseline import FHD_PIXELS, baseline_kernel_times_ms
 
 
+#: the per-point timing fields of :func:`emulate_batch` (and of every
+#: dense sweep array), in result order
+TIMING_FIELDS = (
+    "baseline_ms",
+    "accelerated_ms",
+    "encoding_engine_ms",
+    "mlp_engine_ms",
+    "dma_ms",
+    "fused_rest_ms",
+)
+
+
 @dataclass(frozen=True)
 class EmulationResult:
     """One emulator run: baseline vs NGPC-accelerated frame."""
@@ -193,6 +205,7 @@ def emulate_batch(
     gridtypes=None,
     log2_hashmap_sizes=None,
     per_level_scales=None,
+    out: Optional[Dict[str, np.ndarray]] = None,
 ) -> Dict[str, np.ndarray]:
     """Vectorized emulator: every :class:`EmulationResult` field as an array.
 
@@ -219,6 +232,15 @@ def emulate_batch(
     ``ngpc`` supplies the remaining architecture parameters (MAC
     geometry, spill penalty, defaults for unswept axes); its own
     ``scale_factor`` is ignored in favour of the ``scale_factors`` axis.
+
+    ``out`` maps every timing field (``baseline_ms``, ``accelerated_ms``,
+    ``encoding_engine_ms``, ``mlp_engine_ms``, ``dma_ms``,
+    ``fused_rest_ms``) to a caller-owned destination array of the
+    result shape — typically a slice of a whole grid's preallocated
+    result arrays.  Each field is then written straight into its view
+    (the pipeline total computed into its slot), no block-sized copy is
+    made, and the returned dict holds the ``out`` views plus the scalar
+    ``amdahl_bound``; ``speedup`` is only built without ``out``.
     """
     if app not in APP_NAMES:
         raise ValueError(f"unknown app {app!r}")
@@ -352,42 +374,48 @@ def emulate_batch(
     batches_nd = np.asarray(batches, dtype=np.int64).reshape(
         (1, 1, 1, 1, 1, -1) + (1,) * (nd - 5)
     )
-    total = pipeline_total_ms_batch(
-        np.expand_dims(ngpc_time, 5), rest_nd, batches_nd
-    )  # (S, P, C, G, E, B[, T, H, R])
-
     shape = (
         len(scales), len(pixels), len(clocks), len(srams), len(engines),
         len(batches),
     )
     if extension:
         shape = shape + (len(gts), len(log2_ts), len(plscales))
-    baseline_total = np.broadcast_to(
-        np.asarray(baseline["total"]).reshape(
+    # every field but the pipeline total is a broadcast of a smaller array
+    sources = {
+        "baseline_ms": np.asarray(baseline["total"]).reshape(
             (1, -1) + (1,) * (len(shape) - 2)
         ),
-        shape,
-    )
-    total = np.ascontiguousarray(np.broadcast_to(total, shape))
-    out = {
-        "baseline_ms": np.ascontiguousarray(baseline_total),
-        "accelerated_ms": total,
-        "encoding_engine_ms": np.ascontiguousarray(
-            np.broadcast_to(np.expand_dims(enc, 5), shape)
-        ),
-        "mlp_engine_ms": np.ascontiguousarray(
-            np.broadcast_to(np.expand_dims(mlp, 5), shape)
-        ),
-        "dma_ms": np.ascontiguousarray(
-            np.broadcast_to(np.expand_dims(dma, 5), shape)
-        ),
-        "fused_rest_ms": np.ascontiguousarray(np.broadcast_to(rest_nd, shape)),
-        "speedup": baseline_total / total,
+        "encoding_engine_ms": np.expand_dims(enc, 5),
+        "mlp_engine_ms": np.expand_dims(mlp, 5),
+        "dma_ms": np.expand_dims(dma, 5),
+        "fused_rest_ms": rest_nd,
     }
-    if not architectural:  # classic call: squeeze back to the (S, P) plane
-        out = {name: arr.reshape(shape[:2]) for name, arr in out.items()}
-    out["amdahl_bound"] = amdahl_bound(app, scheme)
-    return out
+    # the classic call returns the (S, P) plane
+    target = shape if architectural else shape[:2]
+    fresh = out is None
+    if fresh:
+        out = {name: np.empty(target) for name in TIMING_FIELDS}
+    else:
+        for name in TIMING_FIELDS:
+            if name not in out or out[name].shape != target:
+                raise ValueError(
+                    f"out[{name!r}] must be an array of shape {target}"
+                )
+
+    def hypercube(view):  # (S, P) -> (S, P, 1, 1, 1, 1), always a view
+        return view[(Ellipsis,) + (None,) * (len(shape) - view.ndim)]
+
+    pipeline_total_ms_batch(
+        np.expand_dims(ngpc_time, 5), rest_nd, batches_nd,
+        out=hypercube(out["accelerated_ms"]),
+    )  # (S, P, C, G, E, B[, T, H, R])
+    for name, source in sources.items():
+        np.copyto(hypercube(out[name]), source)
+    result = {name: out[name] for name in TIMING_FIELDS}
+    if fresh:
+        result["speedup"] = result["baseline_ms"] / result["accelerated_ms"]
+    result["amdahl_bound"] = amdahl_bound(app, scheme)
+    return result
 
 
 def speedup_table(scheme: str, n_pixels: int = FHD_PIXELS) -> Dict[int, Dict[str, float]]:

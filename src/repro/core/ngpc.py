@@ -183,12 +183,14 @@ def dma_overhead_ms_batch(app: str, n_pixels, scale_factors) -> np.ndarray:
     return (base * growth) * (pixels / FHD_PIXELS)
 
 
-def pipeline_total_ms_batch(ngpc_time_ms, rest_time_ms, n_batches):
+def pipeline_total_ms_batch(ngpc_time_ms, rest_time_ms, n_batches, out=None):
     """Vectorized :attr:`PipelineSchedule.total_ms` (elementwise makespan).
 
     ``n_batches`` may be a scalar or an integer array (a swept pipeline
     axis); it broadcasts elementwise against the stage times with the
-    same arithmetic as the scalar makespan.
+    same arithmetic as the scalar makespan.  ``out``, when given, is the
+    destination array of the final addition (the operands broadcast to
+    its shape).
     """
     n_batches = np.asarray(n_batches)
     if np.any(n_batches < 1):
@@ -196,7 +198,7 @@ def pipeline_total_ms_batch(ngpc_time_ms, rest_time_ms, n_batches):
     ngpc_batch = ngpc_time_ms / n_batches
     rest_batch = rest_time_ms / n_batches
     bottleneck = np.maximum(ngpc_batch, rest_batch)
-    return ngpc_batch + (n_batches - 1) * bottleneck + rest_batch
+    return np.add(ngpc_batch + (n_batches - 1) * bottleneck, rest_batch, out=out)
 
 
 class NGPC:

@@ -1,7 +1,7 @@
 """Distributed multi-host sweep backend: shard coordinator + workers.
 
-The block task tuples of the in-process ``"process"`` engine
-(:func:`repro.core.dse.shard_plan`) are already self-contained,
+The block task tuples of :func:`repro.core.dse.shard_plan` are
+self-contained,
 value-keyed work units; this package ships them across hosts.  A
 :class:`ShardCoordinator` queues a submitted sweep's blocks and leases
 them over HTTP (``/cluster/*`` endpoints, mounted next to the JSON

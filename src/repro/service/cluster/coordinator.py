@@ -2,9 +2,8 @@
 
 :class:`ShardCoordinator` is the server half of the distributed sweep
 engine.  A sweep submitted via :meth:`ShardCoordinator.submit` is cut
-into the same contiguous vectorized block tasks the in-process
-``"process"`` engine dispatches (:func:`repro.core.dse.shard_plan` —
-plain tuples, so a task crosses host boundaries unchanged), queued, and
+into contiguous vectorized block tasks (:func:`repro.core.dse.shard_plan`
+— plain tuples, so a task crosses host boundaries unchanged), queued, and
 handed out to workers over the coordinator's HTTP endpoints:
 
 ====================== ====================================================
@@ -469,7 +468,6 @@ class ShardCoordinator:
 
     def sweep_fn(self, grid, engine: str = "cluster",
                  ngpc: Optional[NGPCConfig] = None,
-                 max_workers: Optional[int] = None,
                  on_block: Optional[Callable] = None) -> SweepResult:
         """Drop-in ``sweep_fn`` for :class:`SweepService` (engine ignored)."""
         return self.sweep_blocking(grid, ngpc=ngpc, on_block=on_block)

@@ -31,7 +31,7 @@ from repro.core.dse import (
     DesignPoint,
     NotOnGridError,
     SweepGrid,
-    pareto_front,
+    design_front,
 )
 from repro.core.area_power import ngpc_area_power_batch
 
@@ -143,9 +143,9 @@ class PartialSweep:
         A point is a candidate once *every* app's slice at its
         configuration is evaluated (the returned ``speedups`` dict must
         be complete).  Mirrors
-        :meth:`repro.core.dse.SweepResult.pareto_front` op for op, so
-        with every block recorded the output is bit-identical to the
-        dense front.
+        :meth:`repro.core.dse.SweepResult.pareto_front` op for op (the
+        same :func:`~repro.core.dse.design_front` kernel), so with every
+        block recorded the output is bit-identical to the dense front.
         """
         grid = self.grid
         j = grid.schemes.index(scheme)
@@ -160,30 +160,18 @@ class PartialSweep:
             valid = valid_plane.all(axis=0)  # (K, C, G, E, B)
             if not valid.any():
                 return []
-            speedup = self._speedup
             if app is None:
                 benefit = speedup_plane.mean(axis=0)
             else:
                 benefit = speedup_plane[grid.apps.index(app)]
-            cost = np.broadcast_to(
-                self.area_overhead_pct[..., None], benefit.shape
+            front = design_front(
+                benefit, self.area_overhead_pct,
+                None if valid.all() else valid,
             )
-            flat_cost = cost.reshape(-1)
-            flat_benefit = benefit.reshape(-1)
-            if valid.all():
-                index_map = None
-                keep = pareto_front(flat_cost, flat_benefit)
-            else:
-                index_map = np.flatnonzero(valid.reshape(-1))
-                keep = pareto_front(
-                    flat_cost[index_map], flat_benefit[index_map]
-                )
             points = []
-            for pos in keep:
-                flat = int(pos) if index_map is None else int(index_map[pos])
-                k, c, g, e, b = np.unravel_index(flat, benefit.shape)
+            for k, c, g, e, b in front:
                 speedups = {
-                    a: float(speedup[(ia, j, k, l, c, g, e, b) + enc])
+                    a: float(speedup_plane[ia, k, c, g, e, b])
                     for ia, a in enumerate(grid.apps)
                 }
                 points.append(

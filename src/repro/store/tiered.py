@@ -43,6 +43,7 @@ from repro.core.dse import (
     store_block_plan,
     sweep_fingerprint,
     task_batch_kwargs,
+    window_major,
 )
 from repro.core.emulator import emulate_batch
 from repro.store.result_store import ResultStore
@@ -100,9 +101,7 @@ def evaluate_with_block_cache(
     """
     plan = store_block_plan(grid)
     if on_block is not None:
-        plan = sorted(
-            plan, key=lambda entry: (entry[0][2], entry[0][0], entry[0][1])
-        )
+        plan = window_major(plan)
     if on_plan is not None:
         on_plan(len(plan))
     _bump(counters, "blocks_total", len(plan))

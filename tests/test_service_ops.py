@@ -502,7 +502,7 @@ class TestQuotaFairness:
             for i in range(3)
         ]
 
-        def slow_cold(grid, engine="vectorized", ngpc=None, max_workers=None):
+        def slow_cold(grid, engine="vectorized", ngpc=None):
             result = sweep_grid(grid, engine="vectorized", ngpc=ngpc,
                                 use_cache=False)
             time.sleep(0.4)
@@ -717,7 +717,13 @@ class TestRollingRestartEndToEnd:
             assert stats["drains"] == 1
             assert stats["jobs"]["completed"] == 1
             assert stats["jobs"]["inflight"] == 0
-            # replacements did real work after the handover
+            # the sweep can finish before the second replacement has
+            # registered: wait for both generation-2 workers to join
+            deadline = time.monotonic() + 20
+            while (time.monotonic() < deadline
+                   and stats["workers"]["current_generation"] < 2):
+                time.sleep(0.1)
+                stats = backend.coordinator.stats()
             assert stats["workers"]["current_generation"] >= 2
         finally:
             terminate_workers(replacements)

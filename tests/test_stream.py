@@ -33,6 +33,7 @@ from repro.core.dse import (
     finalize_sweep_result,
     shard_plan,
     sweep_grid,
+    window_major,
 )
 from repro.core.emulator import emulate_batch
 from repro.service import (
@@ -61,12 +62,6 @@ GRID_JSON = {
 }
 
 
-def window_major(plan):
-    """The streaming block order: same window across (app, scheme) pairs."""
-    return sorted(plan, key=lambda entry: (entry[0][2], entry[0][0],
-                                           entry[0][1]))
-
-
 class BlockwiseSweep:
     """An injected ``sweep_fn`` that reports blocks through ``on_block``.
 
@@ -84,8 +79,7 @@ class BlockwiseSweep:
         self.release.set()  # default: run freely
         self._lock = threading.Lock()
 
-    def __call__(self, grid, engine="vectorized", ngpc=None,
-                 max_workers=None, on_block=None):
+    def __call__(self, grid, engine="vectorized", ngpc=None, on_block=None):
         with self._lock:
             self.calls += 1
         resolved = grid.resolve(ngpc)

@@ -120,20 +120,6 @@ class TestBatchedEqualsScalar:
         with pytest.raises(ValueError):
             result.accelerated_ms[0, 0, 0, 0] = 0.0
 
-    def test_process_engine_agrees(self):
-        grid = SweepGrid(
-            apps=("gia", "nvr"),
-            schemes=("multi_res_hashgrid",),
-            scale_factors=(8, 64),
-            pixel_counts=(2_073_600,),
-        )
-        vec = sweep_grid(grid, engine="vectorized", use_cache=False)
-        proc = sweep_grid(grid, engine="process", max_workers=2, use_cache=False)
-        for name in _FIELDS:
-            np.testing.assert_allclose(
-                getattr(vec, name), getattr(proc, name), rtol=RTOL, atol=0.0
-            )
-
     def test_full_sweep_batched_matches_generator(self):
         batched = list(full_sweep_batched(schemes=["multi_res_hashgrid"]))
         scalar = list(full_sweep(schemes=["multi_res_hashgrid"]))
@@ -170,6 +156,87 @@ clocks = st.floats(min_value=0.2, max_value=4.0, allow_nan=False)
 srams = st.sampled_from([128, 256, 512, 1024, 2048, 4096])
 engine_counts = st.sampled_from([1, 2, 4, 8, 16, 32])
 batch_counts = st.integers(min_value=1, max_value=64)
+
+
+class TestEmulateBatchInPlace:
+    """``emulate_batch(out=...)`` writes the returned-dict values in place."""
+
+    CALLS = {
+        "classic": (
+            ("nerf", "multi_res_hashgrid", (8, 16, 32, 64), (518_400, 2_073_600)),
+            {},
+        ),
+        "hypercube": (
+            ("gia", "multi_res_densegrid", (8, 64), (2_073_600,)),
+            dict(clocks_ghz=(0.9, 1.695), grid_sram_kb=(256, 1024),
+                 n_engines=(8, 16), n_batches=(1, 4, 16)),
+        ),
+        "extended": (
+            ("nsdf", "multi_res_hashgrid", (8, 32), (2_073_600,)),
+            dict(clocks_ghz=(1.2,), gridtypes=("hash", "tiled"),
+                 log2_hashmap_sizes=(14, 19), per_level_scales=(1.5, 2.0)),
+        ),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_out_views_bit_identical_to_returned_dict(self, call):
+        args, kwargs = self.CALLS[call]
+        fresh = emulate_batch(*args, **kwargs)
+        shape = fresh["accelerated_ms"].shape
+        # strided destinations: every other element of a larger array
+        parents = {
+            name: np.full(shape + (2,), np.nan) for name in _FIELDS
+        }
+        out = {name: parent[..., 1] for name, parent in parents.items()}
+        written = emulate_batch(*args, out=out, **kwargs)
+        assert "speedup" not in written
+        assert written["amdahl_bound"] == fresh["amdahl_bound"]
+        for name in _FIELDS:
+            assert written[name] is out[name], name
+            np.testing.assert_array_equal(out[name], fresh[name], err_msg=name)
+            assert np.isnan(parents[name][..., 0]).all(), name  # no spill
+
+    def test_out_shape_mismatch_raises(self):
+        args, kwargs = self.CALLS["hypercube"]
+        shape = emulate_batch(*args, **kwargs)["accelerated_ms"].shape
+        out = {name: np.empty(shape) for name in _FIELDS}
+        out["dma_ms"] = np.empty(shape[:-1])
+        with pytest.raises(ValueError, match="dma_ms"):
+            emulate_batch(*args, out=out, **kwargs)
+
+
+class TestEvaluatePlan:
+    """One in-place plan evaluator behind every local blockwise sweep."""
+
+    GRID = SweepGrid(
+        apps=("nerf", "gia"),
+        schemes=("multi_res_hashgrid",),
+        scale_factors=(8, 16, 64),
+        clocks_ghz=(0.9, 1.2, 1.695),
+        grid_sram_kb=(256, 1024),
+        n_batches=(4, 8, 16),
+    )
+
+    @pytest.mark.parametrize("n_blocks", (1, 7, 64))
+    def test_any_plan_is_bit_identical_to_sweep_grid(self, n_blocks):
+        from repro.core.dse import evaluate_plan, shard_plan, window_major
+
+        grid = self.GRID.resolve()
+        dense = sweep_grid(grid, use_cache=False)
+        plan = window_major(shard_plan(grid, n_blocks))
+        seen = []
+        arrays = evaluate_plan(
+            grid, plan, on_block=lambda placement, views: seen.append(
+                (placement, views["accelerated_ms"].shape)
+            ),
+        )
+        assert [p for p, _ in seen] == [p for p, _ in plan]
+        for (_, _, windows), shape in seen:
+            assert shape == tuple(hi - lo for lo, hi in windows)
+        for name in _FIELDS + ("amdahl_bound",):
+            np.testing.assert_array_equal(
+                arrays[name], getattr(dense, name), err_msg=name
+            )
 
 
 class TestArchitectureAxes:
@@ -218,14 +285,10 @@ class TestArchitectureAxes:
         )
         vec = sweep_grid(grid, engine="vectorized", use_cache=False)
         scal = sweep_grid(grid, engine="scalar", use_cache=False)
-        proc = sweep_grid(grid, engine="process", max_workers=2, use_cache=False)
         assert vec.accelerated_ms.shape == grid.shape
         for name in _FIELDS + ("amdahl_bound",):
             np.testing.assert_array_equal(
                 getattr(vec, name), getattr(scal, name), err_msg=name
-            )
-            np.testing.assert_array_equal(
-                getattr(vec, name), getattr(proc, name), err_msg=name
             )
 
     def test_cost_arrays_span_architecture_axes(self):
@@ -287,10 +350,32 @@ class TestArchitectureAxes:
         grid = SweepGrid(apps=("gia",), scale_factors=(8, 64))
         auto = sweep_grid(grid, engine="auto", use_cache=False)
         vec = sweep_grid(grid, engine="vectorized", use_cache=False)
-        assert auto.engine in ("vectorized", "process")
+        assert auto.engine == "vectorized"
         np.testing.assert_array_equal(auto.accelerated_ms, vec.accelerated_ms)
-        # small grids always stay in-process
         assert _resolve_engine("auto", grid.resolve()) == "vectorized"
+
+    def test_auto_engine_is_vectorized_on_million_point_grids(self):
+        from repro.core.dse import _resolve_engine
+
+        grid = SweepGrid(
+            apps=("nerf", "gia"),
+            scale_factors=tuple(2 ** i for i in range(8)),
+            clocks_ghz=tuple(0.5 + 0.0125 * i for i in range(32)),
+            grid_sram_kb=tuple(2 ** (4 + i) for i in range(16)),
+            n_engines=tuple(2 ** i for i in range(8)),
+            n_batches=tuple(2 ** i for i in range(16)),
+        ).resolve()
+        assert grid.size >= 1_000_000
+        assert _resolve_engine("auto", grid) == "vectorized"
+
+    def test_process_engine_is_gone(self):
+        grid = SweepGrid(apps=("gia",), scale_factors=(8,))
+        with pytest.raises(ValueError) as info:
+            sweep_grid(grid, engine="process", use_cache=False)
+        message = str(info.value)
+        assert "'process'" in message
+        for engine in ("vectorized", "scalar", "auto"):
+            assert engine in message
 
     def test_block_tasks_tile_the_grid_exactly(self):
         from repro.core.dse import shard_plan
@@ -527,6 +612,96 @@ class TestParetoFront:
         assert areas == sorted(areas)
         speeds = [p.average_speedup for p in front]
         assert speeds == sorted(speeds)  # on this grid: bigger buys more
+
+
+def _unreduced_front(result, scheme, app=None):
+    """The reference front: pareto_front over every batch point unreduced."""
+    from repro.core.dse import DesignPoint
+
+    j = result.grid.schemes.index(scheme)
+    speedup = result.speedup[:, j, :, 0]  # (A, K, C, G, E, B)
+    if app is None:
+        benefit = speedup.mean(axis=0)
+    else:
+        benefit = speedup[result.grid.apps.index(app)]
+    cost = np.broadcast_to(result.area_overhead_pct[..., None], benefit.shape)
+    points = []
+    for flat in pareto_front(cost.reshape(-1), benefit.reshape(-1)):
+        k, c, g, e, b = np.unravel_index(flat, benefit.shape)
+        points.append(DesignPoint(
+            scale_factor=result.grid.scale_factors[k],
+            area_overhead_pct=float(result.area_overhead_pct[k, c, g, e]),
+            power_overhead_pct=float(result.power_overhead_pct[k, c, g, e]),
+            speedups={
+                a: float(speedup[i, k, c, g, e, b])
+                for i, a in enumerate(result.grid.apps)
+            },
+            config_axes=result._config_axes(c, g, e, b),
+        ))
+    return points
+
+
+class TestBatchReducedFront:
+    """SweepResult.pareto_front reduces over the batch axis before the
+    front kernel; it must equal the unreduced call exactly."""
+
+    GRID = SweepGrid(
+        apps=("nerf", "gia"),
+        schemes=("multi_res_hashgrid",),
+        scale_factors=(8, 16, 32),
+        clocks_ghz=(0.9, 1.2),
+        grid_sram_kb=(512, 1024),
+        n_batches=(2, 4, 8, 16),
+    )
+
+    def test_real_sweep_matches_unreduced(self):
+        result = sweep_grid(self.GRID, use_cache=False)
+        for app in (None,) + result.grid.apps:
+            assert result.pareto_front("multi_res_hashgrid", app=app) == (
+                _unreduced_front(result, "multi_res_hashgrid", app)
+            )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_ties_across_batches_and_cells(self, seed):
+        import dataclasses
+
+        rng = np.random.default_rng(seed)
+        result = sweep_grid(self.GRID, use_cache=False)
+        # few distinct values: speedups tie exactly across batches of one
+        # cost cell and across cells, and area costs tie across cells
+        baseline = rng.integers(1, 4, result.baseline_ms.shape).astype(float)
+        area = rng.integers(1, 3, result.area_overhead_pct.shape).astype(float)
+        tied = dataclasses.replace(
+            result,
+            baseline_ms=baseline,
+            accelerated_ms=np.ones_like(baseline),
+            area_overhead_pct=area,
+        )
+        for app in (None,) + tied.grid.apps:
+            assert tied.pareto_front("multi_res_hashgrid", app=app) == (
+                _unreduced_front(tied, "multi_res_hashgrid", app)
+            )
+
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_masked_plane_matches_unreduced_candidates(self, seed):
+        from repro.core.dse import design_front
+
+        rng = np.random.default_rng(seed)
+        benefit = rng.integers(1, 4, (3, 2, 2, 1, 4)).astype(float)
+        area = rng.integers(1, 3, benefit.shape[:-1]).astype(float)
+        valid = rng.random(benefit.shape) < 0.6
+        candidates = np.flatnonzero(valid.reshape(-1))
+        cost = np.broadcast_to(area[..., None], benefit.shape).reshape(-1)
+        expected = [
+            tuple(int(i) for i in np.unravel_index(
+                candidates[pos], benefit.shape
+            ))
+            for pos in pareto_front(
+                cost[candidates], benefit.reshape(-1)[candidates]
+            )
+        ]
+        assert design_front(benefit, area, valid) == expected
 
 
 class TestConstraintQueries:

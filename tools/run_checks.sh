@@ -2,9 +2,8 @@
 # Tier-1 gate: the full pytest suite plus a smoke run of the
 # sweep-scaling benchmark (the >= 10x batched-DSE acceptance check runs
 # in --quick mode here; run the benchmark without --quick for the full
-# 1000-point vectorized gate and the >= 50k-point block-parallel gate),
-# a 2-worker block-parallel engine smoke so the process-pool path is
-# exercised on every push, the service latency/coalescing gates
+# 1000-point vectorized gate and the >= 50k-point architecture-grid
+# vectorized gate), the service latency/coalescing gates
 # (bench_service --quick), the Session facade overhead gate
 # (bench_api --quick), and a black-box sweep-service smoke: start
 # `repro serve` as a subprocess, run one sweep and one pareto query over
@@ -14,7 +13,7 @@
 # 2-worker shard-cluster smoke (coordinator + real `repro worker`
 # subprocesses, one sweep via DistributedBackend, parity vs vectorized,
 # clean shutdown) and the cluster speedup benchmark
-# (bench_cluster --quick, >= 2x over the single-host process engine,
+# (bench_cluster --quick, >= 2x over the single-host vectorized engine,
 # emitting BENCH_cluster.json).  The persistent result store gets its
 # own section: the store test suite runs standalone (warm restart,
 # block-delta evaluation, corruption quarantine) and the store
@@ -63,28 +62,6 @@ python benchmarks/bench_store.py --quick
 echo
 echo "== sweep-scaling benchmark (smoke) =="
 python benchmarks/bench_sweep_scaling.py --quick
-
-echo
-echo "== block-parallel engine (2 workers, tiny grid) =="
-python - <<'PY'
-import numpy as np
-
-from repro.core.dse import SweepGrid, sweep_grid
-
-grid = SweepGrid(
-    apps=("nerf", "gia"),
-    scale_factors=(8, 64),
-    clocks_ghz=(1.2, 1.695),
-    n_batches=(8, 16),
-)
-proc = sweep_grid(grid, engine="process", max_workers=2, use_cache=False)
-vec = sweep_grid(grid, engine="vectorized", use_cache=False)
-np.testing.assert_allclose(
-    proc.accelerated_ms, vec.accelerated_ms, rtol=1e-9, atol=0.0
-)
-print(f"process engine ok on a {proc.grid.size}-point grid "
-      f"(block-sharded, 2 workers)")
-PY
 
 echo
 echo "== shard cluster smoke (2 workers, sweep via DistributedBackend) =="
