@@ -9,6 +9,7 @@ over the GPU baseline, and the per-stage decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Dict, Optional
 
 import numpy as np
@@ -190,6 +191,18 @@ def emulate_uncached(
     return Emulator(NGPCConfig(scale_factor=scale_factor)).run(app, scheme, n_pixels)
 
 
+@lru_cache(maxsize=65536)
+def _validated(config, field: str, value) -> None:
+    """Run ``config``'s dataclass validation with one field replaced.
+
+    Memoized per (frozen config, field, value): a batch call checks
+    every axis value, and the adaptive explorer makes thousands of
+    small calls over the same values.  An invalid value raises, and
+    exceptions are not cached, so it raises on every call.
+    """
+    replace(config, **{field: value})
+
+
 def emulate_batch(
     app: str,
     scheme: str,
@@ -250,12 +263,7 @@ def emulate_batch(
     scales = tuple(int(s) for s in np.asarray(scale_factors).reshape(-1))
     for scale in scales:
         # reuse the scalar path's validation (power of two, >= 1)
-        NGPCConfig(
-            scale_factor=scale,
-            nfp=base.nfp,
-            n_pipeline_batches=base.n_pipeline_batches,
-            l2_spill_penalty=base.l2_spill_penalty,
-        )
+        _validated(base, "scale_factor", scale)
     pixels = np.asarray(n_pixels).reshape(-1)
     config = get_config(app, scheme)
     extension = not (
@@ -310,13 +318,13 @@ def emulate_batch(
         )
     # reuse the scalar path's validation, one axis value at a time
     for clock in clocks:
-        replace(base.nfp, clock_ghz=clock)
+        _validated(base.nfp, "clock_ghz", clock)
     for kb in srams:
-        replace(base.nfp, grid_sram_kb_per_engine=kb)
+        _validated(base.nfp, "grid_sram_kb_per_engine", kb)
     for n_eng in engines:
-        replace(base.nfp, n_encoding_engines=n_eng)
+        _validated(base.nfp, "n_encoding_engines", n_eng)
     for n_b in batches:
-        replace(base, n_pipeline_batches=n_b)
+        _validated(base, "n_pipeline_batches", n_b)
     # the encoding axes, validated through their registry specs
     gts = tuple(
         str(t)

@@ -35,26 +35,28 @@ while evaluating a small fraction of the grid:
    (small ones, coalesced into as few vectorized tasks as possible) or
    split along their longest axis, evaluating only the new corner cells;
    rounds repeat until no block is undecided.  ``cheapest()`` needs no
-   bounds at all: blocks pop off a priority queue in exact-minimum-cost
-   order until every cell at least as cheap as the cheapest feasible
-   point found has been evaluated — which reproduces the exhaustive
-   ``argmin`` tie-break verbatim.
+   bounds at all: it walks the cells in exact ascending-cost order until
+   every cell at least as cheap as the cheapest feasible point found has
+   been evaluated — which reproduces the exhaustive ``argmin`` tie-break
+   verbatim.
 
 Work units are ordinary :func:`~repro.core.dse.evaluate_shard_task`
 tuples (value-keyed, fingerprinted), evaluated through a pluggable
 :class:`BlockRunner`: in-process (:class:`LocalBlockRunner`), through
 the persistent store (:class:`StoreBlockRunner` — re-running a query in
 a fresh process reuses every block for free), or leased across a shard
-cluster (:class:`ClusterBlockRunner`).  Tasks shrink to the cells still
-missing from the explorer's dense partial arrays before dispatch, so no
-grid cell is ever emulated twice, whatever the rounds or queries do;
-:class:`ExplorationStats` counts rounds, blocks (evaluated / cached /
-pruned) and points (evaluated / skipped).
+cluster (:class:`ClusterBlockRunner`).  Per queried slice the explorer
+keeps state sized to what it evaluates, not the hypercube: one baseline
+per app, the last-batch plane every bound probe reads, and a column
+table holding earlier batch cells only for the columns a query
+materializes.  Tasks shrink to the cells still missing from that state
+before dispatch, so no grid cell is ever emulated twice, whatever the
+rounds or queries do; :class:`ExplorationStats` counts rounds, blocks
+(evaluated / cached / pruned) and points (evaluated / skipped).
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -217,6 +219,87 @@ class ClusterBlockRunner:
 
 
 # ---------------------------------------------------------------------------
+# per-slice state: sized to the evaluated cells
+# ---------------------------------------------------------------------------
+
+
+class _SliceState:
+    """Accelerated times evaluated so far on one queried slice.
+
+    ``base`` is the (A,) per-app baseline: it depends only on (app,
+    scheme, pixels), so it is one value per app here.  ``plane`` holds
+    the (A, K, C, G, E) times at the last batch cell, which every bound
+    probe reads.  Earlier batch cells live in a column table, allocated
+    only for the columns a query materializes: ``slot`` maps a (k, c,
+    g, e) cell to its row of ``cols`` (A, n, B-1), -1 when absent.  NaN
+    means "not evaluated".
+    """
+
+    __slots__ = ("enc", "base", "plane", "slot", "cols", "n_cols")
+
+    def __init__(self, n_apps, cell_shape, n_b, enc):
+        self.enc = enc
+        self.base = np.full(n_apps, np.nan)
+        self.plane = np.full((n_apps,) + cell_shape, np.nan)
+        self.slot = np.full(cell_shape, -1, dtype=np.int32)
+        self.cols = np.empty((n_apps, 0, n_b - 1))
+        self.n_cols = 0
+
+    def gather(self, a, k, c, g, e, b) -> np.ndarray:
+        """Accelerated times at broadcastable (app, cell, batch) indices."""
+        last = self.cols.shape[2]
+        b = np.asarray(b)
+        at_plane = self.plane[a, k, c, g, e]
+        at_last = b == last
+        if at_last.all():
+            return np.broadcast_to(
+                at_plane, np.broadcast_shapes(at_plane.shape, b.shape)
+            )
+        out = np.where(at_last, at_plane, np.nan)
+        if self.n_cols:
+            slots = self.slot[k, c, g, e]
+            rows = self.cols[a, np.maximum(slots, 0), np.minimum(b, last - 1)]
+            np.copyto(out, rows, where=~at_last & (slots >= 0))
+        return out
+
+    def put(self, i, sel, acc, base) -> None:
+        """Store app ``i``'s evaluated block over a selection."""
+        if not np.all(base == base.flat[0]) or not (
+            np.isnan(self.base[i]) or self.base[i] == base.flat[0]
+        ):
+            raise RuntimeError(
+                "baseline_ms varies within an (app, scheme, pixels) slice; "
+                "the explorer keeps one baseline per app"
+            )
+        self.base[i] = base.flat[0]
+        ks, cs, gs, es, bs = (np.asarray(s, dtype=np.intp) for s in sel)
+        cells = np.ix_(ks, cs, gs, es)
+        at_last = bs == self.cols.shape[2]
+        if at_last.any():
+            self.plane[i][cells] = acc[..., at_last][..., 0]
+        if not at_last.all():
+            slots = self._slots(cells)
+            self.cols[i][slots[..., None], bs[~at_last]] = acc[..., ~at_last]
+
+    def _slots(self, cells) -> np.ndarray:
+        """Column-table rows of a cell product, allocating absent ones."""
+        slots = self.slot[cells]
+        absent = slots < 0
+        n_new = int(absent.sum())
+        if n_new:
+            need = self.n_cols + n_new
+            n_a, cap, n_early = self.cols.shape
+            if need > cap:  # grow geometrically
+                pad = np.full((n_a, max(need, 2 * cap, 64) - cap, n_early),
+                              np.nan)
+                self.cols = np.concatenate([self.cols, pad], axis=1)
+            slots[absent] = np.arange(self.n_cols, need)
+            self.slot[cells] = slots
+            self.n_cols = need
+        return slots
+
+
+# ---------------------------------------------------------------------------
 # the explorer
 # ---------------------------------------------------------------------------
 
@@ -224,8 +307,8 @@ class ClusterBlockRunner:
 class AdaptiveExplorer:
     """Exact Pareto/cheapest answers by adaptive partial evaluation.
 
-    One explorer serves one (resolved) grid; its queries share the dense
-    partial arrays, the block dedup, and one :class:`ExplorationStats`.
+    One explorer serves one (resolved) grid; its queries share the
+    per-slice state, the block dedup, and one :class:`ExplorationStats`.
     Thread-safe (the sweep service queries from executor threads).
     """
 
@@ -272,7 +355,10 @@ class AdaptiveExplorer:
         )
         self.stats = ExplorationStats(points_total=self.grid.size)
         self._lock = threading.RLock()
-        self._slices: Dict[Tuple[str, int], Dict[str, np.ndarray]] = {}
+        self._slices: Dict[Tuple, _SliceState] = {}
+        #: (stable ascending-cost cell order, sorted costs), built by
+        #: the first cheapest query
+        self._cost_order: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- shared plumbing -----------------------------------------------------
     def _axis_index(self, axis_name: str, value, values: Tuple) -> int:
@@ -296,7 +382,7 @@ class AdaptiveExplorer:
         Mirrors :meth:`SweepResult._encoding_slice` exactly: ``()`` for
         non-extended grids (validating any named selector against the
         resolved sentinel axis), a ``(t, h, r)`` triple otherwise —
-        the explorer keeps one dense partial slice per encoding point.
+        the explorer keeps one slice state per encoding point.
         """
         selectors = (
             ("gridtype", gridtype, self.grid.gridtypes),
@@ -316,16 +402,13 @@ class AdaptiveExplorer:
 
     def _slice_state(
         self, scheme: str, n_pixels: int, enc: Tuple[int, ...] = ()
-    ) -> Dict[str, np.ndarray]:
+    ) -> _SliceState:
         key = (scheme, n_pixels) + enc
         state = self._slices.get(key)
         if state is None:
-            shape = (len(self.grid.apps),) + self._slice_shape
-            state = {
-                "baseline": np.full(shape, np.nan),
-                "accelerated": np.full(shape, np.nan),
-                "enc": enc,
-            }
+            state = _SliceState(
+                len(self.grid.apps), self._slice_shape[:4], self._n_b, enc
+            )
             self._slices[key] = state
         return state
 
@@ -341,9 +424,8 @@ class AdaptiveExplorer:
         pending_tasks, pending_refs = [], []
         for app_idx, sel in items:
             self.stats.blocks_total += 1
-            target = state["accelerated"][app_idx]
             arrays = tuple(np.asarray(s, dtype=np.intp) for s in sel)
-            missing = np.isnan(target[np.ix_(*arrays)])
+            missing = np.isnan(state.gather(*np.ix_([app_idx], *sel))[0])
             if not missing.any():
                 self.stats.blocks_cached += 1
                 continue
@@ -360,7 +442,7 @@ class AdaptiveExplorer:
             pending_tasks.append(
                 selection_task(
                     self.grid, self.grid.apps[app_idx], scheme, n_pixels,
-                    shrunk, encoding=state["enc"] or None,
+                    shrunk, encoding=state.enc or None,
                 )
             )
             pending_refs.append((app_idx, shrunk))
@@ -374,9 +456,7 @@ class AdaptiveExplorer:
                 self._scatter(state, app_idx, sel, block)
 
     def _scatter(self, state, app_idx, sel, block) -> None:
-        dest = np.ix_(*(np.asarray(s, dtype=np.intp) for s in sel))
-        target = state["accelerated"][app_idx]
-        newly = np.isnan(target[dest])
+        newly = np.isnan(state.gather(*np.ix_([app_idx], *sel)))
         n_new = int(newly.sum())
         if n_new:
             self.stats.points_evaluated += n_new
@@ -387,32 +467,30 @@ class AdaptiveExplorer:
         if acc.ndim > 5:
             acc = acc[..., 0, 0, 0]
             base = base[..., 0, 0, 0]
-        target[dest] = acc
-        state["baseline"][app_idx][dest] = base
+        state.put(app_idx, sel, acc, base)
 
-    def _benefit_at(self, state, app_idxs, mean_mode, index):
-        """Benefit (speedup / mean speedup) at an index expression.
+    @staticmethod
+    def _benefit(state, a, acc, mean_mode):
+        """Benefit (speedup / mean speedup) from gathered times.
 
-        The arithmetic mirrors :meth:`SweepResult.pareto_front` exactly
-        — elementwise ``baseline / accelerated`` then a mean over the
-        app axis — so values are bit-identical to the exhaustive path.
+        ``a`` indexes the apps along the leading axis of ``acc``.  The
+        arithmetic mirrors :meth:`SweepResult.pareto_front` exactly —
+        elementwise ``baseline / accelerated`` then a mean over the
+        stacked app axis — so values are bit-identical to the
+        exhaustive path.
         """
-        if mean_mode:
-            base = state["baseline"][(slice(None),) + index]
-            acc = state["accelerated"][(slice(None),) + index]
-            return (base / acc).mean(axis=0)
-        i = app_idxs[0]
-        return state["baseline"][i][index] / state["accelerated"][i][index]
+        ratio = state.base[a] / acc
+        return ratio.mean(axis=0) if mean_mode else ratio[0]
 
     def _selection_points(self, state, app_idxs, mean_mode, sel):
         """(flat, cost, value) arrays over one evaluated selection."""
         arrays = tuple(np.asarray(s, dtype=np.intp) for s in sel)
-        ix = np.ix_(*arrays)
-        values = self._benefit_at(state, app_idxs, mean_mode, ix)
+        ix = np.ix_(app_idxs, *arrays)
+        values = self._benefit(state, ix[0], state.gather(*ix), mean_mode)
         costs = np.broadcast_to(
             self._area4[np.ix_(*arrays[:4])][..., None], values.shape
         )
-        flat = np.ravel_multi_index(ix, self._slice_shape)
+        flat = np.ravel_multi_index(ix[1:], self._slice_shape)
         return flat.reshape(-1), costs.reshape(-1), values.reshape(-1)
 
     def _corner_ubs(self, state, app_idxs, mean_mode, wins) -> np.ndarray:
@@ -424,17 +502,9 @@ class AdaptiveExplorer:
         corners = np.array(
             [[hi - 1 for lo, hi in win] for win in wins], dtype=np.intp
         )
-        ks, cs, gs, es = corners.T
-        if mean_mode:
-            base = state["baseline"][:, ks, cs, gs, es, -1]
-            acc = state["accelerated"][:, ks, cs, gs, es, -1]
-            ubs = (base / acc).mean(axis=0)
-        else:
-            i = app_idxs[0]
-            ubs = (
-                state["baseline"][i, ks, cs, gs, es, -1]
-                / state["accelerated"][i, ks, cs, gs, es, -1]
-            )
+        a = np.asarray(app_idxs, dtype=np.intp)[:, None]
+        acc = state.gather(a, *corners.T, self._n_b - 1)
+        ubs = self._benefit(state, a, acc, mean_mode)
         # an unevaluated corner must read "keep", never "prunable"
         return np.where(np.isnan(ubs), np.inf, ubs)
 
@@ -672,9 +742,9 @@ class AdaptiveExplorer:
             corner_cells = []
             if new_corners:
                 arr = np.array(new_corners, dtype=np.intp)
-                unseen = np.isnan(state["accelerated"][
-                    app_idxs[0], arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], -1
-                ])
+                unseen = np.isnan(
+                    state.gather(app_idxs[0], *arr.T, self._n_b - 1)
+                )
                 corner_cells = [
                     cell for cell, miss in zip(new_corners, unseen) if miss
                 ]
@@ -785,11 +855,9 @@ class AdaptiveExplorer:
         k, c, g, e, b = (
             int(v) for v in np.unravel_index(flat, self._slice_shape)
         )
+        acc = state.gather(slice(None), k, c, g, e, b)
         speedups = {
-            a: float(
-                state["baseline"][i, k, c, g, e, b]
-                / state["accelerated"][i, k, c, g, e, b]
-            )
+            a: float(state.base[i] / acc[i])
             for i, a in enumerate(self.grid.apps)
         }
         return DesignPoint(
@@ -797,7 +865,7 @@ class AdaptiveExplorer:
             area_overhead_pct=float(self._area4[k, c, g, e]),
             power_overhead_pct=float(self._power4[k, c, g, e]),
             speedups=speedups,
-            config_axes=self._config_axes(c, g, e, b, state["enc"]),
+            config_axes=self._config_axes(c, g, e, b, state.enc),
         )
 
     # -- cheapest ------------------------------------------------------------
@@ -888,8 +956,7 @@ class AdaptiveExplorer:
         scheme_v = self.grid.schemes[j]
         pixels = self.grid.pixel_counts[l]
         state = self._slice_state(scheme_v, pixels, enc)
-        acc_app = state["accelerated"][i]
-        last_b = self._n_b - 1
+        plane_i = state.plane[i].ravel()  # a view: (K, C, G, E) is contiguous
 
         # cost is exact and emulation-free, so the search needs no value
         # bounds at all: walk the cells in ascending-cost order, probing
@@ -899,9 +966,11 @@ class AdaptiveExplorer:
         # least as cheap as the best feasible one found is probed.
         # Each chunk coalesces into few vectorized tasks, and cells
         # already evaluated by earlier queries re-dispatch nothing.
-        area_flat = self._area4.ravel()
-        order = np.argsort(area_flat, kind="stable")
-        costs_sorted = area_flat[order]
+        if self._cost_order is None:
+            area_flat = self._area4.ravel()
+            order = np.argsort(area_flat, kind="stable")
+            self._cost_order = (order, area_flat[order])
+        order, costs_sorted = self._cost_order
         n_cells = order.size
         chunk = max(64 * self.leaf_cells, 512)
         c_star = np.inf
@@ -926,8 +995,7 @@ class AdaptiveExplorer:
             self._run_tasks(
                 state, scheme_v, pixels, [(i, s) for s in selections]
             )
-            probed = acc_app[..., last_b].ravel()[sub]
-            feasible = feasible_of(probed)  # NaN never feasible
+            feasible = feasible_of(plane_i[sub])  # NaN never feasible
             if feasible.any():
                 c_star = min(c_star, float(costs_sorted[pos:hi][feasible].min()))
             pos = hi
@@ -935,37 +1003,51 @@ class AdaptiveExplorer:
         if not np.isfinite(c_star):
             if infeasible_fps is None:
                 return None
-            best_fps = float(1000.0 / np.nanmin(acc_app))
+            evaluated = np.concatenate(
+                [plane_i, state.cols[i, :state.n_cols].ravel()]
+            )
+            best_fps = float(1000.0 / np.nanmin(evaluated))
             raise infeasible_query(
                 app, infeasible_fps, pixels, scheme_v, best_fps
             )
         # materialize the full batch columns of the cost-tied feasible
         # columns: the exhaustive argmin resolves ties by first flat
         # index, which may sit at an earlier batch cell
-        tied = (self._area4 == c_star) & feasible_of(acc_app[..., last_b])
-        tied_cols = sorted(
-            tuple(int(v) for v in idx) for idx in zip(*np.nonzero(tied))
+        tied = np.sort(order[
+            np.searchsorted(costs_sorted, c_star, side="left"):
+            np.searchsorted(costs_sorted, c_star, side="right")
+        ])
+        tied = np.unravel_index(
+            tied[feasible_of(plane_i[tied])], self._area4.shape
         )
         fills = [
-            sel + (self._b_all,) for sel in self._coalesce_cells(tied_cols)
+            sel + (self._b_all,)
+            for sel in self._coalesce_cells(zip(*(t.tolist() for t in tied)))
         ]
         self._run_tasks(state, scheme_v, pixels, [(i, s) for s in fills])
-        for k, c, g, e in tied_cols:
-            col = acc_app[k, c, g, e]
-            if np.any(col < col[last_b]):
-                # batch-axis monotonicity violated: the cheap feasibility
-                # probes can no longer be trusted — evaluate everything
-                self.stats.bound_violations += 1
-                full = self._full_selection()
-                self._run_tasks(state, scheme_v, pixels, [(i, full)])
-                break
-        # replicate the exhaustive argmin verbatim: every cell at least
-        # as cheap as c_star is evaluated or provably infeasible,
-        # costlier cells cannot win, and np.argmin's first-minimum rule
-        # picks the same flat index
-        feasible = feasible_of(acc_app)  # NaN compares False
-        cost5 = np.broadcast_to(self._area4[..., None], acc_app.shape)
-        flat = int(np.argmin(np.where(feasible, cost5, np.inf)))
+        cols = state.gather(
+            i, *(t[:, None] for t in tied), np.arange(self._n_b)
+        )
+        if np.any(cols < cols[:, -1:]):
+            # batch-axis monotonicity violated: the cheap feasibility
+            # probes can no longer be trusted — evaluate everything
+            self.stats.bound_violations += 1
+            full = self._full_selection()
+            self._run_tasks(state, scheme_v, pixels, [(i, full)])
+        # replicate the exhaustive argmin over the dense slice verbatim
+        # (unevaluated cells read NaN there, so infeasible): every cell
+        # at least as cheap as c_star is evaluated or provably
+        # infeasible, costlier cells cannot win, and np.argmin's
+        # first-minimum rule is the lowest flat index at the lowest cost
+        # — taken here over the feasible plane and column cells only
+        slot = state.slot.ravel()
+        with_col = np.flatnonzero(slot >= 0)
+        rows, bs = np.nonzero(feasible_of(state.cols[i, slot[with_col]]))
+        cells = np.flatnonzero(feasible_of(plane_i))
+        flats = np.concatenate([cells * self._n_b + (self._n_b - 1),
+                                with_col[rows] * self._n_b + bs])
+        costs = self._area4.ravel()[flats // self._n_b]
+        flat = int(flats[costs == costs.min()].min())
         others = [x for x in range(len(self.grid.apps)) if x != i]
         if others:
             cell = tuple(
@@ -1015,7 +1097,7 @@ class AdaptiveExplorer:
             )
             pixels = grid.pixel_counts[l]
             sel = ((k,), (c,), (g,), (e,), (b,))
-            # evaluate through the runner directly: the dense state only
+            # evaluate through the runner directly: the slice state only
             # keeps baseline/accelerated, a point needs every engine
             task = selection_task(grid, app, scheme, pixels, sel,
                                   encoding=enc or None)

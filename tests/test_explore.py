@@ -17,12 +17,20 @@ Three contracts, each pinned against the exhaustive dense path:
   block runner; the real emulator is monotone by construction) must
   trip ``bound_violations`` and still produce exactly the dense
   answers via the exhaustive fallback.
+- **State sized to the evaluated cells**: a slice keeps a last-batch
+  plane plus a column table for the earlier batch cells of the columns
+  a query materializes.  The column-table tests pin exactness over
+  random small grids (one batch cell included), reuse of columns a
+  ``point()`` opened, the fallback after columns exist, the footprint,
+  and the one-baseline-per-app guard.
 """
 
 import asyncio
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import InfeasibleQueryError, Session, SweepGrid
 from repro.api.session import ADAPTIVE_MIN_POINTS
@@ -477,3 +485,160 @@ class TestServiceAdaptive:
             SweepService(explore="adaptive", sweep_fn=lambda *a, **k: None)
         with pytest.raises(ValueError, match="explore must be"):
             SweepService(explore="sometimes")
+
+
+# ---------------------------------------------------------------------------
+# slice state: last-batch plane + column table
+# ---------------------------------------------------------------------------
+
+
+def _error_attrs(exc):
+    return (str(exc), exc.app, exc.fps, exc.n_pixels, exc.scheme,
+            exc.best_fps)
+
+
+def _state_nbytes(explorer):
+    return sum(
+        getattr(state, name).nbytes
+        for state in explorer._slices.values()
+        for name in ("base", "plane", "slot", "cols")
+    )
+
+
+class TestColumnTable:
+    @given(
+        st.lists(st.sampled_from((8, 16, 32, 64)), min_size=1, max_size=4,
+                 unique=True),
+        st.lists(st.sampled_from((0.8, 1.2, 1.695)), min_size=1,
+                 max_size=3, unique=True),
+        st.lists(st.sampled_from((256, 512, 1024)), min_size=1, max_size=3,
+                 unique=True),
+        st.lists(st.sampled_from((4, 8, 16)), min_size=1, max_size=3,
+                 unique=True),
+        st.sampled_from(((16,), (4, 16), (1, 2, 4, 8, 16))),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_adaptive_equals_exhaustive_on_random_grids(
+        self, scales, clocks, srams, engines, batches, pick
+    ):
+        grid = SweepGrid(
+            apps=("nerf", "gia"), schemes=("multi_res_hashgrid",),
+            scale_factors=tuple(sorted(scales)),
+            clocks_ghz=tuple(sorted(clocks)),
+            grid_sram_kb=tuple(sorted(srams)),
+            n_engines=tuple(sorted(engines)), n_batches=batches,
+        )
+        dense = Session.local(engine="vectorized").sweep(
+            grid, explore="exhaustive"
+        )
+        explorer = AdaptiveExplorer(grid)
+        scheme = grid.schemes[0]
+        for app in (None,) + grid.apps:
+            assert points_dicts(explorer.pareto(scheme, app=app)) == \
+                points_dicts(dense.pareto(scheme=scheme, app=app)), app
+        for app in grid.apps:
+            # one fps sits exactly on a grid cell's frame rate (ties at
+            # the feasibility boundary); 1e9 is always infeasible
+            fps_at_cell = dense.result.fps[
+                dense.grid.apps.index(app), 0
+            ].flat[pick % (dense.size // len(grid.apps))]
+            for fps in (1.0, 60.0, float(fps_at_cell), 10.0**9):
+                try:
+                    want = dense.cheapest(app=app, fps=fps).to_dict()
+                except InfeasibleQueryError as exc:
+                    with pytest.raises(InfeasibleQueryError) as got:
+                        explorer.cheapest(app, fps, scheme=scheme)
+                    assert _error_attrs(got.value) == _error_attrs(exc)
+                else:
+                    assert explorer.cheapest(
+                        app, fps, scheme=scheme
+                    ).to_dict() == want, (app, fps)
+        assert explorer.stats.bound_violations == 0
+
+    def test_point_opened_column_is_reused(self):
+        pixels = GOLDEN_GRID.resolve().pixel_counts[0]
+        scheme = GOLDEN_GRID.schemes[0]
+
+        def battery(explorer):
+            return (
+                points_dicts(explorer.pareto(scheme)),
+                points_dicts(explorer.pareto(scheme, app="gia")),
+                explorer.cheapest("nerf", 60.0, scheme=scheme).to_dict(),
+                explorer.cheapest("gia", 30.0, scheme=scheme).to_dict(),
+            )
+
+        def early_point(explorer):
+            # an earlier-batch cell of the column the cheapest answer
+            # materializes for its tie-break
+            return explorer.point(
+                "nerf", scheme, 8, pixels, clock_ghz=0.8,
+                grid_sram_kb=512, n_batches=GOLDEN_GRID.n_batches[0],
+            )
+
+        queries_first = AdaptiveExplorer(GOLDEN_GRID)
+        want = battery(queries_first)
+        early_point(queries_first)
+
+        point_first = AdaptiveExplorer(GOLDEN_GRID)
+        early_point(point_first)
+        assert point_first.stats.points_evaluated == 1
+        assert battery(point_first) == want
+        # the same cells end up evaluated, each counted once
+        assert point_first.stats.points_evaluated == \
+            queries_first.stats.points_evaluated
+
+    def test_fallback_after_columns_exist(self):
+        dense = _fake_dense_result(FAKE_GRID)
+        explorer = AdaptiveExplorer(FAKE_GRID, runner=FakeRunner())
+        scheme = dense.grid.schemes[0]
+        pixels = dense.grid.pixel_counts[0]
+        # open columns first: a point at the first batch cell and the
+        # cheapest queries' tie-break columns
+        explorer.point("gia", scheme, 16, pixels, clock_ghz=0.9,
+                       grid_sram_kb=512, n_engines=16, n_batches=4)
+        for app in FAKE_GRID.apps:
+            want = dense.cheapest_point_meeting_fps(app, 30.0, scheme=scheme)
+            assert explorer.cheapest(app, 30.0, scheme=scheme).to_dict() \
+                == want.to_dict()
+        assert all(s.n_cols for s in explorer._slices.values())
+        for app in (None,) + FAKE_GRID.apps:
+            assert points_dicts(explorer.pareto(scheme, app=app)) == \
+                points_dicts(dense.pareto_front(scheme, app=app)), app
+        assert explorer.stats.bound_violations > 0
+
+    def test_footprint_is_a_fraction_of_the_dense_slice(self):
+        grid = SweepGrid(
+            apps=("nerf", "gia"),
+            scale_factors=tuple(2 ** i for i in range(6)),
+            clocks_ghz=tuple(0.5 + 0.1 * i for i in range(16)),
+            grid_sram_kb=tuple(2 ** (6 + i) for i in range(8)),
+            n_engines=tuple(2 ** i for i in range(6)),
+            n_batches=tuple(2 ** i for i in range(16)),
+        )
+        explorer = AdaptiveExplorer(grid)
+        scheme = grid.schemes[0]
+        explorer.pareto(scheme)
+        for app in grid.apps:
+            explorer.cheapest(app, 60.0, scheme=scheme)
+        resolved = explorer.grid
+        dense_bytes = 2 * 8 * (
+            len(resolved.apps) * len(resolved.scale_factors)
+            * len(resolved.clocks_ghz) * len(resolved.grid_sram_kb)
+            * len(resolved.n_engines) * len(resolved.n_batches)
+        )
+        assert len(explorer._slices) == 1
+        assert _state_nbytes(explorer) < dense_bytes / 8
+
+    def test_varying_baseline_is_rejected(self):
+        class VaryingBaselineRunner(FakeRunner):
+            def evaluate(self, tasks):
+                out = super().evaluate(tasks)
+                for block, _cached in out:
+                    base = block["baseline_ms"]
+                    base += np.arange(base.size).reshape(base.shape)
+                return out
+
+        explorer = AdaptiveExplorer(FAKE_GRID, runner=VaryingBaselineRunner())
+        with pytest.raises(RuntimeError, match="baseline_ms varies"):
+            explorer.pareto(FAKE_GRID.schemes[0])

@@ -791,6 +791,30 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="power of two"):
             SweepGrid(scale_factors=(24,))
 
+    def test_batch_validation_memo_never_caches_a_failure(self):
+        # the memo caches successful checks only: an invalid value must
+        # raise on every call, not just the first
+        for _ in range(2):
+            with pytest.raises(ValueError, match="power of two"):
+                emulate_batch("nerf", "multi_res_hashgrid", (8,),
+                              grid_sram_kb=(3,))
+
+    def test_batch_validation_memo_is_keyed_by_config(self):
+        from repro.core.emulator import _validated
+
+        first = NGPCConfig()
+        second = NGPCConfig(nfp=NFPConfig(mac_rows=32))
+        emulate_batch("nerf", "multi_res_hashgrid", (8,), ngpc=first,
+                      grid_sram_kb=(256,))
+        misses = _validated.cache_info().misses
+        emulate_batch("nerf", "multi_res_hashgrid", (8,), ngpc=first,
+                      grid_sram_kb=(256,))
+        assert _validated.cache_info().misses == misses
+        # the same value under a different config is checked again
+        emulate_batch("nerf", "multi_res_hashgrid", (8,), ngpc=second,
+                      grid_sram_kb=(256,))
+        assert _validated.cache_info().misses > misses
+
 
 class TestSweepGrid:
     def test_shape_size_points(self):

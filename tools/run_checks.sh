@@ -42,30 +42,38 @@
 # --api-key` and `repro admin ops --api-key` through the CLI, and
 # requires a clean SIGINT shutdown.
 #
+# Every step runs even when an earlier one fails: the failed steps are
+# listed at the end, and the script exits non-zero if there are any.
+#
 # Usage:  bash tools/run_checks.sh
-set -euo pipefail
+set -uo pipefail
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== tier-1 tests =="
-python -m pytest -x -q
+FAILED=()
 
-echo
-echo "== result store suite (warm restart, delta, corruption) =="
-python -m pytest tests/test_store.py tests/test_model_cache.py -q
+# step NAME CMD [ARGS...]: run one check, recording NAME if it fails
+step() {
+    local name=$1
+    shift
+    echo
+    echo "== $name =="
+    if ! "$@"; then
+        echo "FAILED: $name" >&2
+        FAILED+=("$name")
+    fi
+}
 
-echo
-echo "== result store gates (smoke) =="
-python benchmarks/bench_store.py --quick
+step "tier-1 tests" python -m pytest -x -q
 
-echo
-echo "== sweep-scaling benchmark (smoke) =="
-python benchmarks/bench_sweep_scaling.py --quick
+step "result store suite (warm restart, delta, corruption)" python -m pytest tests/test_store.py tests/test_model_cache.py -q
 
-echo
-echo "== shard cluster smoke (2 workers, sweep via DistributedBackend) =="
-python - <<'PY'
+step "result store gates (smoke)" python benchmarks/bench_store.py --quick
+
+step "sweep-scaling benchmark (smoke)" python benchmarks/bench_sweep_scaling.py --quick
+
+step "shard cluster smoke (2 workers, sweep via DistributedBackend)" python - <<'PY'
 import numpy as np
 
 from repro.api import DistributedBackend, SweepGrid
@@ -97,21 +105,13 @@ print(f"cluster smoke ok: {result.grid.size}-point sweep over 2 workers "
       f"clean shutdown")
 PY
 
-echo
-echo "== cluster speedup gate (smoke) =="
-python benchmarks/bench_cluster.py --quick
+step "cluster speedup gate (smoke)" python benchmarks/bench_cluster.py --quick
 
-echo
-echo "== service latency + coalescing gates (smoke) =="
-python benchmarks/bench_service.py --quick
+step "service latency + coalescing gates (smoke)" python benchmarks/bench_service.py --quick
 
-echo
-echo "== Session facade overhead gate (smoke) =="
-python benchmarks/bench_api.py --quick
+step "Session facade overhead gate (smoke)" python benchmarks/bench_api.py --quick
 
-echo
-echo "== adaptive exploration smoke (parity + structured infeasible) =="
-python - <<'PY'
+step "adaptive exploration smoke (parity + structured infeasible)" python - <<'PY'
 from repro.api import InfeasibleQueryError, Session, SweepGrid
 
 grid = SweepGrid(
@@ -147,35 +147,34 @@ print(f"adaptive smoke ok: parity on {adaptive.size} points "
       f"rounds), structured infeasible error identical across modes")
 PY
 
-echo
-echo "== CLI adaptive exploration smoke (repro dse --explore adaptive) =="
-python -m repro dse --explore adaptive \
-    --sweep scale=8:16:32:64,clock=0.8:1.2:1.695,batches=8:16 \
-    --fps 60 > /dev/null
-echo "repro dse --explore adaptive ok"
+cli_adaptive_smoke() {
+    python -m repro dse --explore adaptive \
+        --sweep scale=8:16:32:64,clock=0.8:1.2:1.695,batches=8:16 \
+        --fps 60 > /dev/null || return 1
+    echo "repro dse --explore adaptive ok"
+}
+step "CLI adaptive exploration smoke (repro dse --explore adaptive)" \
+    cli_adaptive_smoke
 
-echo
-echo "== adaptive exploration gates (smoke) =="
-python benchmarks/bench_adaptive.py --quick
+step "adaptive exploration gates (smoke)" python benchmarks/bench_adaptive.py --quick
 
-echo
-echo "== axis-registry gate (no private axis tuples) =="
 # every axis list must derive from repro.core.axes: two adjacent
 # axis-name string literals on one line is the AXIS_FIELDS-style
 # hard-coded tuple this refactor retired
-AXIS_NAMES='apps|schemes|scale_factors|pixel_counts|clocks_ghz|grid_sram_kb|n_engines|n_batches|gridtypes|log2_hashmap_sizes|per_level_scales'
-if grep -rnE --include='*.py' \
-    "[\"']($AXIS_NAMES)[\"'][[:space:]]*,[[:space:]]*[\"']($AXIS_NAMES)[\"']" \
-    src/repro benchmarks tools \
-    | grep -v '^src/repro/core/axes\.py:'; then
-    echo "FAIL: literal axis-name tuple found outside src/repro/core/axes.py" >&2
-    exit 1
-fi
-echo "axis lists derive from repro.core.axes only"
+axis_registry_gate() {
+    local names='apps|schemes|scale_factors|pixel_counts|clocks_ghz|grid_sram_kb|n_engines|n_batches|gridtypes|log2_hashmap_sizes|per_level_scales'
+    if grep -rnE --include='*.py' \
+        "[\"']($names)[\"'][[:space:]]*,[[:space:]]*[\"']($names)[\"']" \
+        src/repro benchmarks tools \
+        | grep -v '^src/repro/core/axes\.py:'; then
+        echo "FAIL: literal axis-name tuple found outside src/repro/core/axes.py" >&2
+        return 1
+    fi
+    echo "axis lists derive from repro.core.axes only"
+}
+step "axis-registry gate (no private axis tuples)" axis_registry_gate
 
-echo
-echo "== hash-grid axes parity (local / store / cluster / adaptive) =="
-python - <<'PY'
+step "hash-grid axes parity (local / store / cluster / adaptive)" python - <<'PY'
 import tempfile
 
 import numpy as np
@@ -224,21 +223,18 @@ print(f"hash-grid parity ok: {grid.size}-point extended sweep bit-identical "
       f"across local, store-backed, cluster and adaptive paths")
 PY
 
-echo
-echo "== pickle ban (the frame transport owns the wire) =="
-if grep -rnE '^\s*(import pickle|from pickle)|pickle\.' src/repro/service/ --include='*.py'; then
-    echo "FAIL: pickle import/call found under src/repro/service" >&2
-    exit 1
-fi
-echo "no pickle imports or calls under src/repro/service"
+pickle_ban() {
+    if grep -rnE '^\s*(import pickle|from pickle)|pickle\.' src/repro/service/ --include='*.py'; then
+        echo "FAIL: pickle import/call found under src/repro/service" >&2
+        return 1
+    fi
+    echo "no pickle imports or calls under src/repro/service"
+}
+step "pickle ban (the frame transport owns the wire)" pickle_ban
 
-echo
-echo "== streaming gates (smoke) =="
-python benchmarks/bench_stream.py --quick
+step "streaming gates (smoke)" python benchmarks/bench_stream.py --quick
 
-echo
-echo "== sweep service smoke (serve + query + clean shutdown) =="
-python - <<'PY'
+step "sweep service smoke (serve + query + clean shutdown)" python - <<'PY'
 import json, re, signal, subprocess, sys, http.client
 
 proc = subprocess.Popen(
@@ -313,17 +309,11 @@ finally:
         proc.kill()
 PY
 
-echo
-echo "== service ops suite (auth, quotas, metrics, drain) =="
-python -m pytest tests/test_service_ops.py -q
+step "service ops suite (auth, quotas, metrics, drain)" python -m pytest tests/test_service_ops.py -q
 
-echo
-echo "== service ops quota-isolation gates (smoke) =="
-python benchmarks/bench_service_ops.py --quick
+step "service ops quota-isolation gates (smoke)" python benchmarks/bench_service_ops.py --quick
 
-echo
-echo "== authenticated service smoke (tenants file + CLI key flow) =="
-python - <<'PY'
+step "authenticated service smoke (tenants file + CLI key flow)" python - <<'PY'
 import json, os, re, signal, subprocess, sys, tempfile, http.client
 
 tenants = {"tenants": [
@@ -400,3 +390,11 @@ finally:
     if proc.poll() is None:
         proc.kill()
 PY
+
+echo
+if ((${#FAILED[@]})); then
+    echo "== ${#FAILED[@]} failed step(s) ==" >&2
+    printf '  %s\n' "${FAILED[@]}" >&2
+    exit 1
+fi
+echo "== all steps passed =="
