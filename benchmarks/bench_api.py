@@ -8,8 +8,10 @@ the API surface.  Two measurements on a >= 10k-point grid:
 
 1. **Cold sweep overhead** (the gate): median wall time of
    ``Session.sweep`` vs a direct ``sweep_grid`` call on the identical
-   normalized grid, caches off, interleaved samples.  Must stay
-   **< 5 %**.
+   normalized grid, caches off, after one warm-up call per arm, over
+   interleaved pairs whose order alternates (so neither arm always runs
+   second) with the garbage collector paused inside each sample, as
+   :mod:`timeit` does.  Must stay **< 5 %**.
 2. **Warm (memoized) path**: the same comparison with the sweep memo
    hot, plus the per-query cost of ``Sweep.pareto()`` vs
    ``SweepResult.pareto_front()`` — reported for the record (absolute
@@ -29,6 +31,7 @@ Exits non-zero when the gate is missed.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import statistics
 import sys
@@ -57,24 +60,36 @@ def build_grid(quick: bool) -> SweepGrid:
 def timed(fn, repeats: int) -> list:
     samples = []
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            fn()
+            samples.append(time.perf_counter() - start)
+        finally:
+            gc.enable()
     return samples
 
 
 def probe(quick: bool) -> dict:
     grid = build_grid(quick).normalized()  # the facade's canonical grid
-    repeats = 3 if quick else 5
+    # a 1k-point sweep takes ~2.5 ms and samples spread by ~15%: the
+    # median of the overhead needs ~200 pairs to resolve 1% here
+    pairs = 201 if quick else 101
 
-    # -- cold sweeps, interleaved so drift hits both paths equally ---------
+    # -- cold sweeps: interleaved pairs, alternating which arm runs first,
+    # so drift and cache warmth hit both paths equally ---------------------
     direct_cold, facade_cold = [], []
     session_cold = Session.local(engine="vectorized", use_cache=False)
-    for _ in range(repeats):
-        direct_cold += timed(
-            lambda: sweep_grid(grid, engine="vectorized", use_cache=False), 1
-        )
-        facade_cold += timed(lambda: session_cold.sweep(grid), 1)
+    arms = [
+        (direct_cold,
+         lambda: sweep_grid(grid, engine="vectorized", use_cache=False)),
+        (facade_cold, lambda: session_cold.sweep(grid)),
+    ]
+    for _, fn in arms:
+        fn()  # warm-up: first-call caches land outside the samples
+    for pair in range(pairs):
+        for samples, fn in arms if pair % 2 == 0 else arms[::-1]:
+            samples += timed(fn, 1)
     direct_cold_s = statistics.median(direct_cold)
     facade_cold_s = statistics.median(facade_cold)
     cold_overhead = facade_cold_s / direct_cold_s - 1.0

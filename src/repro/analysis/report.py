@@ -109,16 +109,13 @@ def design_space_section(result: Optional[SweepResult] = None) -> List[str]:
     )
     # answered from the same evaluation — no re-sweep
     for app in grid.apps:
-        scale = result.cheapest_meeting_fps(app, 60.0, n_pixels)
-        if scale is None:
+        hit = result.cheapest_point_meeting_fps(app, 60.0, n_pixels)
+        if hit is None:
             lines.append(f"| {app} | not achievable | — | — |")
         else:
-            k = grid.scale_factors.index(scale)
-            point = result.point(app, scheme, scale, n_pixels)
             lines.append(
-                f"| {app} | NGPC-{scale} | "
-                f"{result.area_overhead_pct[k, 0, 0, 0]:.2f}% | "
-                f"{point.speedup:.2f}x |"
+                f"| {app} | NGPC-{hit.scale_factor} | "
+                f"{hit.area_overhead_pct:.2f}% | {hit.speedups[app]:.2f}x |"
             )
     return lines
 
@@ -263,10 +260,9 @@ def api_section() -> List[str]:
         "scalar query), `NotOnGridError` (selector value absent from the",
         "grid), `ServiceError` (structured service failure),",
         "`BackendUnavailableError` (nothing listening).\n",
-        "Deprecated entry points, kept as thin shims: `design_space()`,",
-        "`pareto_frontier()` (now delegating to the index-based",
-        "`pareto_front`) and `smallest_scale_for_fps()` — all emit",
-        "`DeprecationWarning` and forward to the Session path.",
+        "Every source (dense result, streamed partial sweep, adaptive",
+        "explorer) answers queries through `repro.core.query`: one",
+        "selector rule, one front builder, one `cheapest` metric table.",
     ]
 
 

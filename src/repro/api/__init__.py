@@ -1,8 +1,7 @@
 """``repro.api`` — the one typed entry point over every execution path.
 
-The reproduction grew four ways to ask the same design-space question:
-the scalar :func:`~repro.core.emulator.emulate` loop, the legacy
-:func:`~repro.core.dse.design_space` list, the batched
+The reproduction grew three ways to ask the same design-space question:
+the scalar :func:`~repro.core.emulator.emulate` loop, the batched
 :func:`~repro.core.dse.sweep_grid` engine, and the HTTP sweep service.
 This package is the stable facade over all of them:
 
@@ -39,7 +38,6 @@ from repro.api.session import Session, Sweep
 from repro.core.dse import (
     PAYLOAD_SCHEMA_VERSION,
     SUPPORTED_SCHEMA_VERSIONS,
-    AmbiguousAxisError,
     DesignPoint,
     EmulationResult,
     SweepGrid,
@@ -47,6 +45,7 @@ from repro.core.dse import (
     sweep_fingerprint,
 )
 from repro.errors import (
+    AmbiguousAxisError,
     BackendUnavailableError,
     InfeasibleQueryError,
     NotOnGridError,

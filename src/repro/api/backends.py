@@ -42,13 +42,13 @@ import time
 from dataclasses import replace
 from typing import Dict, Optional, Union
 
+from repro.core import query
 from repro.core.config import NGPCConfig
 from repro.core.dse import (
     _ENGINES,
     _SWEEP_CACHE,
     _SWEEP_CACHE_MAX_POINTS,
     _TIMING_FIELDS,
-    AmbiguousAxisError,
     EmulationResult,
     SweepGrid,
     SweepResult,
@@ -217,16 +217,13 @@ class LocalBackend(Backend):
         :meth:`sweep`'s and rides the same RAM memo.
         """
         resolved = grid.resolve(self.ngpc)
-        if scheme is None:
-            if len(resolved.schemes) != 1:
-                raise AmbiguousAxisError("scheme", resolved.schemes)
-            scheme = resolved.schemes[0]
         encoding = dict(
             gridtype=gridtype, log2_hashmap_size=log2_hashmap_size,
             per_level_scale=per_level_scale,
         )
+        # a bad selector fails before any block evaluates
+        query.front_selectors(resolved, scheme, n_pixels, app, **encoding)
         partial = PartialSweep(resolved, self.ngpc)
-        partial.validate_selectors(scheme, n_pixels, app, **encoding)
         engine = (
             STORE_ENGINE if self.store is not None
             else _resolve_engine(self.engine, resolved)

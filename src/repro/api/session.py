@@ -20,7 +20,7 @@ dense :class:`~repro.core.dse.SweepResult`, so query results are
 bit-identical across backends (``tests/test_api_session.py`` holds the
 parity to 1e-9) and failures raise one exception hierarchy rooted at
 :class:`~repro.errors.ReproError` — including
-:class:`~repro.core.dse.AmbiguousAxisError` for a scalar query against
+:class:`~repro.errors.AmbiguousAxisError` for a scalar query against
 a swept axis without a selector, on either backend.
 """
 
@@ -36,18 +36,13 @@ from repro.api.backends import (
     RemoteBackend,
 )
 from repro.api.grid import Grid, as_sweep_grid
+from repro.core import query
 from repro.core.config import NGPCConfig
 from repro.core.dse import (
-    AmbiguousAxisError,
     DesignPoint,
     EmulationResult,
     SweepResult,
     sweep_fingerprint,
-)
-from repro.errors import (
-    NotOnGridError,
-    infeasible_query,
-    infeasible_train_query,
 )
 from repro.service.errors import ServiceError
 from repro.explore import AdaptiveExplorer
@@ -59,25 +54,6 @@ from repro.gpu.baseline import FHD_PIXELS
 ADAPTIVE_MIN_POINTS = 1 << 17
 
 _EXPLORE_MODES = ("auto", "adaptive", "exhaustive")
-
-
-def _pick(axis: str, values, value):
-    """The facade-wide singleton rule for optional selectors.
-
-    An unset selector resolves only when its axis holds exactly one
-    value; otherwise the query is ambiguous and the error names the
-    axis (the same rule the service's 400s encode).  A value absent
-    from the grid is a :class:`NotOnGridError` — structured, inside the
-    :class:`~repro.errors.ReproError` hierarchy, mapped to a 404 by the
-    service layer.
-    """
-    if value is not None:
-        if value not in values:
-            raise NotOnGridError(f"{axis}={value!r} not on the grid")
-        return value
-    if len(values) == 1:
-        return values[0]
-    raise AmbiguousAxisError(axis, values)
 
 
 class Sweep:
@@ -150,6 +126,11 @@ class Sweep:
             self._result = self._backend_obj.sweep(self._grid)
         return self._result
 
+    @property
+    def _source(self):
+        """What answers queries: the explorer, else the dense result."""
+        return self._explorer if self._explorer is not None else self.result
+
     def __repr__(self) -> str:
         if self._result is None:
             return (
@@ -179,17 +160,13 @@ class Sweep:
         ``per_level_scale``), those selectors follow the same singleton
         rule and pin the front to one encoding variant.
         """
-        scheme = _pick("scheme", self.grid.schemes, scheme)
-        if app is not None and app not in self.grid.apps:
-            raise NotOnGridError(f"app={app!r} not on the grid")
         target = (
             self._explorer.pareto if self._explorer is not None
             else self.result.pareto_front
         )
         return target(
-            scheme, n_pixels=n_pixels, app=app, gridtype=gridtype,
-            log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
+            scheme, n_pixels, app,
+            gridtype, log2_hashmap_size, per_level_scale,
         )
 
     def cheapest(
@@ -217,77 +194,10 @@ class Sweep:
         ``best_rate``) on every backend and explore mode, so callers
         can relax the constraint programmatically.
         """
-        if fps is not None and train_steps_per_s is not None:
-            raise ValueError(
-                "name one target: fps= or train_steps_per_s=, not both"
-            )
-        app = _pick("app", self.grid.apps, app)
-        encoding = dict(
-            gridtype=gridtype, log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
-        )
-        if train_steps_per_s is not None:
-            return self._cheapest_train(
-                app, train_steps_per_s, n_pixels, scheme, encoding
-            )
-        fps = 60.0 if fps is None else fps
-        if self._explorer is not None:
-            return self._explorer.cheapest(
-                app, fps, n_pixels=n_pixels, scheme=scheme, **encoding
-            )
-        result = self.result
-        hit = result.cheapest_point_meeting_fps(
-            app, fps, n_pixels=n_pixels, scheme=scheme, **encoding
-        )
-        if hit is not None:
-            return hit
-        grid = self.grid
-        i = grid.apps.index(app)
-        j = result._axis_index("scheme", scheme, grid.schemes)
-        l = result._axis_index("n_pixels", n_pixels, grid.pixel_counts)
-        acc = result.accelerated_ms[i, j, :, l]
-        enc = result._encoding_slice(**encoding)
-        if enc:
-            acc = acc[..., enc[0], enc[1], enc[2]]
-        best_fps = float(1000.0 / acc.min())
-        raise infeasible_query(
-            app, fps, grid.pixel_counts[l], grid.schemes[j], best_fps
-        )
-
-    def _cheapest_train(
-        self, app, steps_per_s, n_pixels, scheme, encoding
-    ) -> DesignPoint:
-        """Cheapest config training at ``steps_per_s``; raises infeasible.
-
-        Both explore modes answer from the same feasibility boundary
-        (the explorer's predicate replicates the dense metric's exact
-        arithmetic); an infeasible adaptive query falls back to the
-        dense result once to report the achievable rate.
-        """
-        if self._explorer is not None:
-            hit = self._explorer.cheapest_train(
-                app, steps_per_s, n_pixels=n_pixels, scheme=scheme,
-                **encoding,
-            )
-        else:
-            hit = self.result.cheapest_point_meeting_train_rate(
-                app, steps_per_s, n_pixels=n_pixels, scheme=scheme,
-                **encoding,
-            )
-        if hit is not None:
-            return hit
-        result = self.result
-        grid = self.grid
-        i = grid.apps.index(app)
-        j = result._axis_index("scheme", scheme, grid.schemes)
-        l = result._axis_index("n_pixels", n_pixels, grid.pixel_counts)
-        rates = result.train_steps_per_s[i, j, :, l]
-        enc = result._encoding_slice(**encoding)
-        if enc:
-            rates = rates[..., enc[0], enc[1], enc[2]]
-        raise infeasible_train_query(
-            app, steps_per_s, grid.pixel_counts[l], grid.schemes[j],
-            float(rates.max()),
+        return self._source.cheapest(
+            app, fps, n_pixels, scheme,
+            gridtype, log2_hashmap_size, per_level_scale,
+            train_steps_per_s=train_steps_per_s,
         )
 
     def point(
@@ -305,19 +215,10 @@ class Sweep:
         per_level_scale: Optional[float] = None,
     ) -> EmulationResult:
         """One grid point; every selector follows the singleton rule."""
-        target = self._explorer if self._explorer is not None else self.result
-        return target.point(
-            _pick("app", self.grid.apps, app),
-            _pick("scheme", self.grid.schemes, scheme),
-            _pick("scale_factor", self.grid.scale_factors, scale_factor),
-            _pick("n_pixels", self.grid.pixel_counts, n_pixels),
-            clock_ghz=clock_ghz,
-            grid_sram_kb=grid_sram_kb,
-            n_engines=n_engines,
-            n_batches=n_batches,
-            gridtype=gridtype,
-            log2_hashmap_size=log2_hashmap_size,
-            per_level_scale=per_level_scale,
+        return self._source.point(
+            app, scheme, scale_factor, n_pixels,
+            clock_ghz, grid_sram_kb, n_engines, n_batches,
+            gridtype, log2_hashmap_size, per_level_scale,
         )
 
     def watch(
@@ -346,27 +247,26 @@ class Sweep:
         last event (local backends) or stays server-side (remote), so
         fully consuming ``watch()`` never evaluates the grid twice.
         """
-        selected = _pick("scheme", self.grid.schemes, scheme)
-        if app is not None and app not in self.grid.apps:
-            raise NotOnGridError(f"app={app!r} not on the grid")
         encoding = dict(
             gridtype=gridtype, log2_hashmap_size=log2_hashmap_size,
             per_level_scale=per_level_scale,
         )
+        # every backend fails alike, before anything streams
+        query.front_selectors(self.grid, scheme, n_pixels, app, **encoding)
         if self._result is not None or self._explorer is not None:
             yield self.pareto(
-                scheme=selected, n_pixels=n_pixels, app=app, **encoding
+                scheme=scheme, n_pixels=n_pixels, app=app, **encoding
             )
             return
         stream = None
         if self._backend_obj is not None:
             stream = self._backend_obj.stream_events(
-                self._grid, scheme=selected, n_pixels=n_pixels, app=app,
+                self._grid, scheme=scheme, n_pixels=n_pixels, app=app,
                 **encoding,
             )
         if stream is None:
             yield self.pareto(
-                scheme=selected, n_pixels=n_pixels, app=app, **encoding
+                scheme=scheme, n_pixels=n_pixels, app=app, **encoding
             )
             return
         for event in stream:
@@ -528,39 +428,40 @@ class Session:
             raise ValueError(
                 f"explore must be one of {_EXPLORE_MODES}, got {explore!r}"
             )
-        normalized = as_sweep_grid(grid).normalized()
+        grid = as_sweep_grid(grid)
+        runner = None
         if explore != "exhaustive":
             runner = self.backend.block_runner()
-            if runner is None:
-                if explore == "adaptive":
-                    raise ValueError(
-                        f"explore='adaptive' is not available on the "
-                        f"{self.backend.name!r} backend; start the service "
-                        "with 'repro serve --explore adaptive' to explore "
-                        "server-side"
-                    )
-            else:
-                ngpc = getattr(self.backend, "ngpc", None)
-                resolved = normalized.resolve(ngpc).normalized()
-                if explore == "adaptive" or resolved.size >= ADAPTIVE_MIN_POINTS:
-                    explorer = self._explorer_for(resolved, runner, ngpc)
-                    return Sweep(
-                        None,
-                        self.backend.name,
-                        grid=explorer.grid,
-                        explorer=explorer,
-                        backend_obj=self.backend,
-                    )
-        if lazy:
-            ngpc = getattr(self.backend, "ngpc", None)
+        if runner is None and explore == "adaptive":
+            raise ValueError(
+                f"explore='adaptive' is not available on the "
+                f"{self.backend.name!r} backend; start the service "
+                "with 'repro serve --explore adaptive' to explore "
+                "server-side"
+            )
+        if runner is None and not lazy:
+            result = self.backend.sweep(grid.normalized())
+            return Sweep(result, backend=self.backend.name)
+        # resolved once here and handed on, so the backend's own resolve
+        # is a no-op
+        ngpc = getattr(self.backend, "ngpc", None)
+        grid = grid.resolve(ngpc).normalized()
+        if runner is not None and (
+            explore == "adaptive" or grid.size >= ADAPTIVE_MIN_POINTS
+        ):
+            explorer = self._explorer_for(grid, runner, ngpc)
             return Sweep(
                 None,
                 self.backend.name,
-                grid=normalized.resolve(ngpc).normalized(),
+                grid=explorer.grid,
+                explorer=explorer,
                 backend_obj=self.backend,
             )
-        result = self.backend.sweep(normalized)
-        return Sweep(result, backend=self.backend.name)
+        if lazy:
+            return Sweep(
+                None, self.backend.name, grid=grid, backend_obj=self.backend
+            )
+        return Sweep(self.backend.sweep(grid), backend=self.backend.name)
 
     def _explorer_for(self, resolved, runner, ngpc) -> AdaptiveExplorer:
         """One shared explorer per resolved grid (fingerprint-keyed).

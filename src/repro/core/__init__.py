@@ -79,12 +79,8 @@ from repro.core.dse import (
     DesignPoint,
     SweepGrid,
     SweepResult,
-    cheapest_meeting_fps,
-    design_space,
     efficiency_sweet_spot,
     pareto_front,
-    pareto_frontier,
-    smallest_scale_for_fps,
     sweep_grid,
 )
 
@@ -133,15 +129,11 @@ __all__ = [
     "SweepGrid",
     "SweepResult",
     "cache_stats",
-    "cheapest_meeting_fps",
     "clear_model_caches",
-    "design_space",
     "efficiency_sweet_spot",
     "emulate_batch",
     "emulate_uncached",
     "energy_per_frame_batch",
     "pareto_front",
-    "pareto_frontier",
-    "smallest_scale_for_fps",
     "sweep_grid",
 ]

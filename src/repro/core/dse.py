@@ -24,28 +24,25 @@ query over the full N-dimensional cartesian space of
 - Whole-grid memoization keyed on (grid, engine, NGPCConfig, calibration
   fingerprint), so repeated queries — Pareto fronts, FPS constraints,
   report generation — reuse one evaluation.
-- Constraint-query APIs: :func:`pareto_front` (non-dominated
-  cost/benefit points, fully vectorized so 100k+-point fronts resolve in
-  milliseconds) and :func:`cheapest_meeting_fps` (the smallest
-  configuration hitting a frame-rate target), both exposed through the
+- Constraint queries on the result: :meth:`SweepResult.pareto_front`
+  (non-dominated cost/benefit points, fully vectorized so 100k+-point
+  fronts resolve in milliseconds) and :meth:`SweepResult.cheapest` (the
+  smallest configuration hitting a frame-rate or training-rate target),
+  both defined once in :mod:`repro.core.query` and exposed through the
   CLI (``python -m repro dse``) and :mod:`repro.analysis.report`.
-
-The legacy Fig. 12 + Fig. 15 helpers (:func:`design_space`,
-:func:`pareto_frontier`, :func:`smallest_scale_for_fps`) remain and now
-run on top of the batched engine.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
+import math
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.apps.params import APP_NAMES, ENCODING_SCHEMES
-from repro.errors import NotOnGridError, ReproError
+from repro.errors import AmbiguousAxisError, InfeasibleQueryError
 from repro.core.area_power import ngpc_area_power_batch
 from repro.core.axes import (
     AXES,
@@ -74,96 +71,13 @@ from repro.core.emulator import (
     emulate_batch,
     emulate_with_config,
 )
+from repro.core import query
+from repro.core.query import (  # re-exported for existing importers
+    DesignPoint,
+    design_front,
+    pareto_front,
+)
 from repro.gpu.baseline import FHD_PIXELS
-
-
-class AmbiguousAxisError(ReproError, KeyError):
-    """A scalar query named no value for an axis the grid sweeps.
-
-    Carries the ambiguous ``axis`` name and its swept ``values`` so
-    structured consumers — the query service's 400 responses — can
-    report exactly which selector is missing instead of parsing the
-    message.  Subclasses :class:`KeyError`, so existing callers that
-    catch the old bare error keep working, and
-    :class:`~repro.errors.ReproError`, so facade callers can catch one
-    base class for every failure mode.
-    """
-
-    def __init__(self, axis: str, values: Tuple):
-        self.axis = axis
-        self.values = tuple(values)
-        super().__init__(
-            f"grid sweeps {axis} over {self.values}; pass an explicit value"
-        )
-
-    def __str__(self) -> str:  # KeyError repr-quotes its payload; don't
-        return self.args[0]
-
-
-@dataclass(frozen=True)
-class DesignPoint:
-    """One NGPC configuration with its cost and per-app benefit.
-
-    ``config_axes`` records the architecture-axis values of the point
-    beyond its scale factor — (name, value) pairs for every swept
-    non-scale axis (clock, grid SRAM, engine count, pipeline batches).
-    It is empty for the classic scale-only sweeps.
-    """
-
-    scale_factor: int
-    area_overhead_pct: float
-    power_overhead_pct: float
-    speedups: Dict[str, float]
-    config_axes: Tuple[Tuple[str, float], ...] = ()
-
-    @property
-    def average_speedup(self) -> float:
-        return sum(self.speedups.values()) / len(self.speedups)
-
-    @property
-    def speedup_per_area_pct(self) -> float:
-        """Average speedup bought per percent of die area."""
-        return self.average_speedup / self.area_overhead_pct
-
-    @property
-    def speedup_per_power_pct(self) -> float:
-        return self.average_speedup / self.power_overhead_pct
-
-    def describe(self) -> str:
-        """Short human-readable configuration label."""
-        label = f"NGPC-{self.scale_factor}"
-        if self.config_axes:
-            label += " (" + ", ".join(
-                f"{name}={value:g}" if isinstance(value, (int, float))
-                else f"{name}={value}"
-                for name, value in self.config_axes
-            ) + ")"
-        return label
-
-    def to_dict(self) -> Dict:
-        """JSON-safe view (the query service's response record)."""
-        return {
-            "config": self.describe(),
-            "scale_factor": self.scale_factor,
-            "area_overhead_pct": self.area_overhead_pct,
-            "power_overhead_pct": self.power_overhead_pct,
-            "speedups": dict(self.speedups),
-            "average_speedup": self.average_speedup,
-            "config_axes": [[name, value] for name, value in self.config_axes],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "DesignPoint":
-        """Rebuild a point from :meth:`to_dict` output (served JSON)."""
-        return cls(
-            scale_factor=int(data["scale_factor"]),
-            area_overhead_pct=float(data["area_overhead_pct"]),
-            power_overhead_pct=float(data["power_overhead_pct"]),
-            speedups={app: float(s) for app, s in data["speedups"].items()},
-            config_axes=tuple(
-                (str(name), value) for name, value in data.get("config_axes", ())
-            ),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +265,7 @@ class SweepGrid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def points(self) -> Iterator[Tuple]:
         """All grid points in array order, one value tuple per point.
@@ -410,50 +324,12 @@ class SweepResult:
         return train_steps_per_s_batch(self.grid, self.accelerated_ms)
 
     # -- indexing -----------------------------------------------------------
-    def _axis_index(self, axis_name: str, value, values: Tuple) -> int:
-        if value is None:
-            if len(values) == 1:
-                return 0
-            raise AmbiguousAxisError(axis_name, values)
-        try:
-            return values.index(value)
-        except ValueError as exc:
-            raise NotOnGridError(f"{axis_name}={value!r} not on the grid") from exc
-
-    def _encoding_slice(
-        self,
-        gridtype: Optional[str],
-        log2_hashmap_size: Optional[int],
-        per_level_scale: Optional[float],
-    ) -> Tuple[int, ...]:
-        """Trailing array indices selected by the encoding-axis selectors.
-
-        ``()`` for non-extended grids (after validating that any named
-        selector is actually on the grid — its resolved sentinel axis);
-        a ``(t, h, r)`` triple for extended grids, applying the same
-        ambiguity rule as every other axis.
-        """
-        selectors = (
-            ("gridtype", gridtype, self.grid.gridtypes),
-            ("log2_hashmap_size", log2_hashmap_size, self.grid.log2_hashmap_sizes),
-            ("per_level_scale", per_level_scale, self.grid.per_level_scales),
-        )
-        if not self.grid.is_extended:
-            for name, value, values in selectors:
-                if value is not None:
-                    self._axis_index(name, value, values or ())
-            return ()
-        return tuple(
-            self._axis_index(name, value, values)
-            for name, value, values in selectors
-        )
-
     def index(
         self,
-        app: str,
-        scheme: str,
-        scale_factor: int,
-        n_pixels: int,
+        app: Optional[str] = None,
+        scheme: Optional[str] = None,
+        scale_factor: Optional[int] = None,
+        n_pixels: Optional[int] = None,
         clock_ghz: Optional[float] = None,
         grid_sram_kb: Optional[int] = None,
         n_engines: Optional[int] = None,
@@ -462,30 +338,19 @@ class SweepResult:
         log2_hashmap_size: Optional[int] = None,
         per_level_scale: Optional[float] = None,
     ) -> Tuple[int, ...]:
-        try:
-            base = (
-                self.grid.apps.index(app),
-                self.grid.schemes.index(scheme),
-                self.grid.scale_factors.index(scale_factor),
-                self.grid.pixel_counts.index(n_pixels),
-            )
-        except ValueError as exc:
-            raise NotOnGridError(
-                f"({app}, {scheme}, {scale_factor}, {n_pixels}) not on the grid"
-            ) from exc
-        return base + (
-            self._axis_index("clock_ghz", clock_ghz, self.grid.clocks_ghz),
-            self._axis_index("grid_sram_kb", grid_sram_kb, self.grid.grid_sram_kb),
-            self._axis_index("n_engines", n_engines, self.grid.n_engines),
-            self._axis_index("n_batches", n_batches, self.grid.n_batches),
-        ) + self._encoding_slice(gridtype, log2_hashmap_size, per_level_scale)
+        """Array index of one grid point (see :func:`query.point_index`)."""
+        return query.point_index(
+            self.grid, app, scheme, scale_factor, n_pixels,
+            clock_ghz, grid_sram_kb, n_engines, n_batches,
+            gridtype, log2_hashmap_size, per_level_scale,
+        )
 
     def point(
         self,
-        app: str,
-        scheme: str,
-        scale_factor: int,
-        n_pixels: int,
+        app: Optional[str] = None,
+        scheme: Optional[str] = None,
+        scale_factor: Optional[int] = None,
+        n_pixels: Optional[int] = None,
         clock_ghz: Optional[float] = None,
         grid_sram_kb: Optional[int] = None,
         n_engines: Optional[int] = None,
@@ -500,19 +365,11 @@ class SweepResult:
             clock_ghz, grid_sram_kb, n_engines, n_batches,
             gridtype, log2_hashmap_size, per_level_scale,
         )
-        return EmulationResult(
-            app=app,
-            scheme=scheme,
-            scale_factor=scale_factor,
-            n_pixels=n_pixels,
-            baseline_ms=float(self.baseline_ms[idx]),
-            accelerated_ms=float(self.accelerated_ms[idx]),
-            encoding_engine_ms=float(self.encoding_engine_ms[idx]),
-            mlp_engine_ms=float(self.mlp_engine_ms[idx]),
-            dma_ms=float(self.dma_ms[idx]),
-            fused_rest_ms=float(self.fused_rest_ms[idx]),
-            amdahl_bound=float(self.amdahl_bound[idx[0], idx[1]]),
-        )
+        timings = {
+            name: float(getattr(self, name)[idx]) for name in _TIMING_FIELDS
+        }
+        timings["amdahl_bound"] = float(self.amdahl_bound[idx[:2]])
+        return query.point_result(self.grid, idx, timings)
 
     def to_records(self, limit: Optional[int] = None) -> List[Dict[str, float]]:
         """One flat dict per grid point (JSON/table friendly).
@@ -601,36 +458,9 @@ class SweepResult:
         return cls(grid=grid, engine=str(payload.get("engine", "served")), **arrays)
 
     # -- queries ------------------------------------------------------------
-    def _config_axes(self, c: int, g: int, e: int, b: int, enc: Tuple = ()) -> Tuple:
-        """(name, value) pairs for the swept (non-singleton) config axes.
-
-        ``enc`` is the encoding-axis index triple of the queried slice
-        (empty for non-extended grids); its values are recorded so a
-        point's provenance survives serialization even though the
-        encoding axes were sliced away before the front was computed.
-        """
-        out = []
-        if len(self.grid.clocks_ghz) > 1:
-            out.append(("clock_ghz", self.grid.clocks_ghz[c]))
-        if len(self.grid.grid_sram_kb) > 1:
-            out.append(("grid_sram_kb", self.grid.grid_sram_kb[g]))
-        if len(self.grid.n_engines) > 1:
-            out.append(("n_engines", self.grid.n_engines[e]))
-        if len(self.grid.n_batches) > 1:
-            out.append(("n_batches", self.grid.n_batches[b]))
-        if enc:
-            t, h, r = enc
-            if len(self.grid.gridtypes) > 1:
-                out.append(("gridtype", self.grid.gridtypes[t]))
-            if len(self.grid.log2_hashmap_sizes) > 1:
-                out.append(("log2_hashmap_size", self.grid.log2_hashmap_sizes[h]))
-            if len(self.grid.per_level_scales) > 1:
-                out.append(("per_level_scale", self.grid.per_level_scales[r]))
-        return tuple(out)
-
     def pareto_front(
         self,
-        scheme: str,
+        scheme: Optional[str] = None,
         n_pixels: Optional[int] = None,
         app: Optional[str] = None,
         gridtype: Optional[str] = None,
@@ -642,72 +472,64 @@ class SweepResult:
         Every (scale, clock, SRAM, engines, batches) combination on the
         grid is a candidate; the front is sorted by ascending area.
         Benefit is the speedup of ``app``, or the all-apps average when
-        ``app`` is None (the Fig. 12 "average" bars).  When the grid
-        sweeps several pixel counts, ``n_pixels`` must name the slice to
-        query (mirroring :meth:`index`'s ambiguity rule) — likewise the
-        encoding selectors on extended grids.
+        ``app`` is None (the Fig. 12 "average" bars).  Selectors follow
+        :func:`repro.core.query.front_selectors`.
         """
-        j = self.grid.schemes.index(scheme)
-        l = self._axis_index("n_pixels", n_pixels, self.grid.pixel_counts)
-        enc = self._encoding_slice(gridtype, log2_hashmap_size, per_level_scale)
-        plane = (slice(None), j, slice(None), l) + (Ellipsis,) + enc
+        j, l, i, enc = query.front_selectors(
+            self.grid, scheme, n_pixels, app,
+            gridtype, log2_hashmap_size, per_level_scale,
+        )
+        plane = (slice(None), j, slice(None), l, Ellipsis) + enc
         # (A, K, C, G, E, B): the queried plane only, never the full grid
-        speedup = self.baseline_ms[plane] / self.accelerated_ms[plane]
-        if app is None:
-            benefit = speedup.mean(axis=0)  # (K, C, G, E, B)
-        else:
-            benefit = speedup[self.grid.apps.index(app)]
-        points = []
-        for k, c, g, e, b in design_front(benefit, self.area_overhead_pct):
-            speedups = {
-                a: float(speedup[i, k, c, g, e, b])
-                for i, a in enumerate(self.grid.apps)
-            }
-            points.append(
-                DesignPoint(
-                    scale_factor=self.grid.scale_factors[k],
-                    area_overhead_pct=float(self.area_overhead_pct[k, c, g, e]),
-                    power_overhead_pct=float(self.power_overhead_pct[k, c, g, e]),
-                    speedups=speedups,
-                    config_axes=self._config_axes(c, g, e, b, enc),
-                )
-            )
-        return points
+        return query.front_points(
+            self.grid, self.baseline_ms[plane] / self.accelerated_ms[plane],
+            self.area_overhead_pct, self.power_overhead_pct, i, enc,
+        )
 
-    def _cheapest_point(
+    def cheapest(
         self,
-        app: str,
-        feasible_of,  # callable: (K, C, G, E, B)-shaped metric slice -> bool mask
-        metric: np.ndarray,
-        n_pixels: Optional[int],
-        scheme: Optional[str],
-        enc: Tuple[int, ...],
-    ) -> Optional[DesignPoint]:
-        """Shared cheapest-area search under a feasibility predicate."""
-        i = self.grid.apps.index(app)
-        j = self._axis_index("scheme", scheme, self.grid.schemes)
-        l = self._axis_index("n_pixels", n_pixels, self.grid.pixel_counts)
-        values = metric[i, j, :, l]  # (K, C, G, E, B[, T, H, R])
+        app: Optional[str] = None,
+        fps: Optional[float] = None,
+        n_pixels: Optional[int] = None,
+        scheme: Optional[str] = None,
+        gridtype: Optional[str] = None,
+        log2_hashmap_size: Optional[int] = None,
+        per_level_scale: Optional[float] = None,
+        *,
+        train_steps_per_s: Optional[float] = None,
+    ) -> DesignPoint:
+        """Cheapest-area configuration meeting a throughput target.
+
+        The target is ``fps`` (60 when neither is named) or
+        ``train_steps_per_s`` (:data:`repro.core.query.METRICS`).
+        Candidates span every (scale, clock, SRAM, engines, batches)
+        combination; the returned :class:`DesignPoint` carries the
+        winning architecture-axis values in ``config_axes``.  Raises
+        :class:`~repro.errors.InfeasibleQueryError` when nothing on the
+        queried slice meets the target.
+        """
+        metric, target = query.cheapest_target(fps, train_steps_per_s)
+        grid = self.grid
+        i, j, l, enc = query.cheapest_selectors(
+            grid, app, scheme, n_pixels,
+            gridtype, log2_hashmap_size, per_level_scale,
+        )
+        names = (grid.apps[i], grid.schemes[j], grid.pixel_counts[l])
+        acc = self.accelerated_ms[i, j, :, l]  # (K, C, G, E, B[, T, H, R])
         if enc:
-            values = values[..., enc[0], enc[1], enc[2]]
-        feasible = feasible_of(values)
+            acc = acc[..., enc[0], enc[1], enc[2]]
+        feasible = metric.feasible(*names, target)(acc)
         if not feasible.any():
-            return None
-        cost = np.broadcast_to(self.area_overhead_pct[..., None], values.shape)
+            raise metric.error(*names, target, acc)
+        cost = np.broadcast_to(self.area_overhead_pct[..., None], acc.shape)
         flat = int(np.argmin(np.where(feasible, cost, np.inf)))
-        k, c, g, e, b = np.unravel_index(flat, values.shape)
-        point = (j, k, l, c, g, e, b) + enc
-        return DesignPoint(
-            scale_factor=self.grid.scale_factors[k],
-            area_overhead_pct=float(self.area_overhead_pct[k, c, g, e]),
-            power_overhead_pct=float(self.power_overhead_pct[k, c, g, e]),
-            speedups={
-                # the one point's division, bit-identical to self.speedup
-                a: float(self.baseline_ms[(ia,) + point]
-                         / self.accelerated_ms[(ia,) + point])
-                for ia, a in enumerate(self.grid.apps)
-            },
-            config_axes=self._config_axes(c, g, e, b, enc),
+        k, c, g, e, b = np.unravel_index(flat, acc.shape)
+        at = (slice(None), j, k, l, c, g, e, b) + enc
+        return query.design_point(
+            grid, (k, c, g, e, b), enc,
+            self.area_overhead_pct, self.power_overhead_pct,
+            # each app's one-point division, bit-identical to self.speedup
+            self.baseline_ms[at] / self.accelerated_ms[at],
         )
 
     def cheapest_point_meeting_fps(
@@ -720,66 +542,14 @@ class SweepResult:
         log2_hashmap_size: Optional[int] = None,
         per_level_scale: Optional[float] = None,
     ) -> Optional[DesignPoint]:
-        """Cheapest-area configuration on the grid hitting ``fps``, or None.
-
-        Candidates span every (scale, clock, SRAM, engines, batches)
-        combination; the returned :class:`DesignPoint` carries the
-        winning architecture-axis values in ``config_axes``.  When the
-        grid sweeps several schemes, pixel counts or encoding-axis
-        values, the ambiguous axis must be named explicitly (mirroring
-        :meth:`index`'s rule).
-        """
-        if fps <= 0:
-            raise ValueError("fps must be positive")
-        budget_ms = 1000.0 / fps
-        enc = self._encoding_slice(gridtype, log2_hashmap_size, per_level_scale)
-        return self._cheapest_point(
-            app, lambda ms: ms <= budget_ms, self.accelerated_ms,
-            n_pixels, scheme, enc,
-        )
-
-    def cheapest_point_meeting_train_rate(
-        self,
-        app: str,
-        steps_per_s: float,
-        n_pixels: Optional[int] = None,
-        scheme: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
-    ) -> Optional[DesignPoint]:
-        """Cheapest-area configuration training at >= ``steps_per_s``.
-
-        The training-time analogue of :meth:`cheapest_point_meeting_fps`
-        over the derived :attr:`train_steps_per_s` metric — "what is the
-        smallest NGPC that fine-tunes this scene at N optimizer steps
-        per second?".  Returns None when no grid point is fast enough.
-        """
-        if steps_per_s <= 0:
-            raise ValueError("steps_per_s must be positive")
-        enc = self._encoding_slice(gridtype, log2_hashmap_size, per_level_scale)
-        return self._cheapest_point(
-            app, lambda rate: rate >= steps_per_s, self.train_steps_per_s,
-            n_pixels, scheme, enc,
-        )
-
-    def cheapest_meeting_fps(
-        self,
-        app: str,
-        fps: float,
-        n_pixels: Optional[int] = None,
-        scheme: Optional[str] = None,
-    ) -> Optional[int]:
-        """Smallest-area scale on the grid hitting ``fps``, or None.
-
-        The scale factor of :meth:`cheapest_point_meeting_fps`'s answer.
-        Parameter order matches the module-level
-        :func:`cheapest_meeting_fps` (app, fps, n_pixels, scheme); this
-        method returns the bare scale factor, the module function a full
-        :class:`DesignPoint`.
-        """
-        hit = self.cheapest_point_meeting_fps(app, fps, n_pixels, scheme)
-        return hit.scale_factor if hit else None
+        """:meth:`cheapest` at ``fps``, or None when nothing reaches it."""
+        try:
+            return self.cheapest(
+                app, fps, n_pixels, scheme,
+                gridtype, log2_hashmap_size, per_level_scale,
+            )
+        except InfeasibleQueryError:
+            return None
 
 
 # ---------------------------------------------------------------------------
@@ -1332,77 +1102,6 @@ def sweep_grid(
 
 
 # ---------------------------------------------------------------------------
-# constraint-query APIs
-# ---------------------------------------------------------------------------
-
-
-def design_front(
-    benefit: np.ndarray,
-    area_overhead_pct: np.ndarray,
-    valid: Optional[np.ndarray] = None,
-) -> List[Tuple[int, ...]]:
-    """``(k, c, g, e, b)`` of the non-dominated points of a design plane.
-
-    ``benefit`` is a (K, C, G, E, B) speedup plane, the cost of each
-    point its (K, C, G, E) area overhead; ``valid`` optionally marks the
-    candidate points (a partial sweep's evaluated ones).  Area does not
-    depend on the batch axis, so within one cost cell every point but
-    the cell's best is dominated: the plane is reduced over B with a
-    first-index argmax before :func:`pareto_front` runs on the cells.
-    The first index keeps :func:`pareto_front`'s lowest-flat-index
-    tie-break (flat index = cell * B + b), so the answer equals
-    :func:`pareto_front` over every candidate point unreduced.
-    """
-    if valid is not None:
-        benefit = np.where(valid, benefit, -np.inf)
-    best_b = benefit.argmax(axis=-1)
-    best = np.take_along_axis(benefit, best_b[..., None], axis=-1).reshape(-1)
-    cost = area_overhead_pct.reshape(-1)
-    if valid is None:
-        keep = pareto_front(cost, best)
-    else:  # cells holding at least one candidate
-        cells = np.flatnonzero(best > -np.inf)
-        keep = cells[pareto_front(cost[cells], best[cells])]
-    return [
-        tuple(int(i) for i in np.unravel_index(cell, best_b.shape))
-        + (int(best_b.flat[cell]),)
-        for cell in keep
-    ]
-
-
-def pareto_front(costs, values) -> List[int]:
-    """Indices of the non-dominated (min cost, max value) points.
-
-    A point is dominated when another has cost <= and value >= with at
-    least one strict inequality.  Exactly-duplicated (cost, value)
-    pairs resolve deterministically to the **lowest input index** — one
-    representative per frontier point, so fronts computed over
-    different supersets of the same points never flap on ties
-    (adaptive refinement compares fronts across rounds).  Returned
-    indices are sorted by ascending cost (ties: by descending value).
-    Fully vectorized — a 100k-point front resolves in milliseconds
-    (``benchmarks/bench_sweep_scaling.py`` gates the sub-second floor).
-    """
-    costs = np.asarray(costs, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if costs.shape != values.shape or costs.ndim != 1:
-        raise ValueError("costs and values must be 1-D arrays of equal length")
-    if costs.size == 0:
-        return []
-    order = np.lexsort((-values, costs))  # cost ascending, value descending
-    sorted_values = values[order]
-    # a point opens the frontier when its value beats every earlier
-    # value; within a run of exact (cost, value) duplicates only the run
-    # leader opens, and lexsort stability makes that leader the
-    # lowest-index duplicate — the deterministic tie-break
-    prev_max = np.empty_like(sorted_values)
-    prev_max[0] = -np.inf
-    np.maximum.accumulate(sorted_values[:-1], out=prev_max[1:])
-    opens = sorted_values > prev_max
-    return [int(i) for i in order[opens]]
-
-
-# ---------------------------------------------------------------------------
 # adaptive refinement planner (consumed by repro.explore)
 # ---------------------------------------------------------------------------
 
@@ -1538,12 +1237,6 @@ def dominance_prune(
     return best_at <= block_value_ubs
 
 
-#: arithmetic of one optimizer step relative to pure inference over the
-#: same samples: forward pass + ~2x for the backward pass (the standard
-#: fwd:bwd FLOP ratio the training benchmark assumes)
-TRAIN_STEP_FLOP_FACTOR = 3.0
-
-
 def train_steps_per_s_batch(
     grid: SweepGrid,
     accelerated_ms: np.ndarray,
@@ -1551,162 +1244,19 @@ def train_steps_per_s_batch(
 ) -> np.ndarray:
     """Derived training-throughput metric over a sweep's timing array.
 
-    Training a neural-graphics model is dominated by the same
-    encoding + MLP pipeline the NGPC accelerates, so an optimizer step
-    over ``batch_size`` samples costs ~``batch_size / samples_per_frame``
-    of a frame's inference work times :data:`TRAIN_STEP_FLOP_FACTOR`
-    (forward + backward).  The model matches
-    ``benchmarks/bench_training_throughput.py``'s accounting with the
-    accelerated frame time substituted for the baseline's: steps/s =
-    (samples/frame / accelerated_ms) * 1000 / (batch * factor).
-    ``batch_size`` defaults to the trainer's
-    (:class:`repro.apps.trainer.TrainerConfig`).
-
-    Computed on demand (never persisted): the derived metric can evolve
-    without invalidating any store or payload, and costs one broadcast
-    over an array the sweep already holds.
+    :func:`repro.core.query.train_rate` applied per (app, scheme, pixel
+    count) slice.  Computed on demand (never persisted): the derived
+    metric can evolve without invalidating any store or payload, and
+    costs one broadcast over an array the sweep already holds.
     """
-    from repro.apps.params import get_config
-    from repro.apps.trainer import TrainerConfig
-    from repro.gpu.kernels import samples_per_frame
-
-    batch = int(batch_size) if batch_size is not None else TrainerConfig().batch_size
-    if batch <= 0:
-        raise ValueError("batch_size must be positive")
     accelerated_ms = np.asarray(accelerated_ms, dtype=np.float64)
     out = np.empty(accelerated_ms.shape)
     for i, app in enumerate(grid.apps):
         for j, scheme in enumerate(grid.schemes):
-            config = get_config(app, scheme)
             for l, n_pixels in enumerate(grid.pixel_counts):
-                samples = samples_per_frame(config, n_pixels)
-                out[i, j, :, l] = (
-                    samples / accelerated_ms[i, j, :, l]
-                ) * 1000.0 / (batch * TRAIN_STEP_FLOP_FACTOR)
+                rate = query.train_rate(app, scheme, n_pixels, batch_size)
+                out[i, j, :, l] = rate(accelerated_ms[i, j, :, l])
     return out
-
-
-def cheapest_meeting_fps(
-    app: str,
-    fps: float,
-    n_pixels: int = FHD_PIXELS,
-    scheme: str = "multi_res_hashgrid",
-    scales: Sequence[int] = SCALE_FACTORS,
-    engine: str = "vectorized",
-) -> Optional[DesignPoint]:
-    """The smallest-area configuration hitting ``fps``, or None.
-
-    Answers questions like "what does 4K NeRF at 30 FPS cost?" — the
-    Fig. 14 headline read backwards — with one batched evaluation.
-    """
-    if fps <= 0:
-        raise ValueError("fps must be positive")
-    grid = SweepGrid(
-        apps=(app,),
-        schemes=(scheme,),
-        scale_factors=tuple(scales),
-        pixel_counts=(n_pixels,),
-    )
-    result = sweep_grid(grid, engine=engine)
-    scale = result.cheapest_meeting_fps(app, fps, n_pixels, scheme)
-    if scale is None:
-        return None
-    k = result.grid.scale_factors.index(scale)
-    return DesignPoint(
-        scale_factor=scale,
-        area_overhead_pct=float(result.area_overhead_pct[k, 0, 0, 0]),
-        power_overhead_pct=float(result.power_overhead_pct[k, 0, 0, 0]),
-        speedups={app: float(result.speedup[0, 0, k, 0, 0, 0, 0, 0])},
-    )
-
-
-# ---------------------------------------------------------------------------
-# legacy Fig. 12 + Fig. 15 view — deprecated shims over the Session facade
-# ---------------------------------------------------------------------------
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} from the repro.api Session facade",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def design_space(
-    scheme: str = "multi_res_hashgrid",
-    n_pixels: int = FHD_PIXELS,
-    scales=SCALE_FACTORS,
-    engine: str = "vectorized",
-) -> List[DesignPoint]:
-    """Evaluate every scaling factor: cost (Fig. 15) x benefit (Fig. 12).
-
-    .. deprecated:: the :class:`repro.api.Session` facade supersedes
-       this; ``Session().sweep(grid)`` returns a handle answering the
-       same queries over any backend.
-    """
-    _warn_deprecated("design_space()", "Session().sweep(...)")
-    from repro.api import Session
-
-    grid = SweepGrid(
-        apps=APP_NAMES,
-        schemes=(scheme,),
-        scale_factors=tuple(scales),
-        pixel_counts=(n_pixels,),
-    )
-    result = Session.local(engine=engine).sweep(grid).result
-    points = []
-    # look up by name against the *result's* (normalized) grid, but
-    # emit points in the caller's scale order — the session
-    # canonicalizes axis order, the legacy contract does not
-    for scale in (int(s) for s in scales):
-        k = result.grid.scale_factors.index(scale)
-        speedups = {
-            app: result.point(app, scheme, scale, n_pixels).speedup
-            for app in grid.apps
-        }
-        points.append(
-            DesignPoint(
-                scale_factor=scale,
-                area_overhead_pct=float(result.area_overhead_pct[k, 0, 0, 0]),
-                power_overhead_pct=float(result.power_overhead_pct[k, 0, 0, 0]),
-                speedups=speedups,
-            )
-        )
-    return points
-
-
-def pareto_frontier(points: List[DesignPoint]) -> List[DesignPoint]:
-    """Points not dominated in (smaller area, larger average speedup).
-
-    .. deprecated:: a thin wrapper over the index-based
-       :func:`pareto_front` (the one Pareto implementation); call that,
-       or query a front straight off ``Session().sweep(...).pareto()``.
-    """
-    _warn_deprecated("pareto_frontier()", "pareto_front() / Sweep.pareto()")
-    if not points:
-        return []
-    keep = pareto_front(
-        [p.area_overhead_pct for p in points],
-        [p.average_speedup for p in points],
-    )
-    return [points[i] for i in sorted(keep, key=lambda i: points[i].area_overhead_pct)]
-
-
-def smallest_scale_for_fps(
-    app: str,
-    fps: float,
-    n_pixels: int,
-    scheme: str = "multi_res_hashgrid",
-    scales=SCALE_FACTORS,
-) -> Optional[int]:
-    """Smallest scaling factor hitting ``fps`` at ``n_pixels``, or None.
-
-    .. deprecated:: use ``Session().sweep(grid).cheapest(app=..., fps=...)``.
-    """
-    _warn_deprecated("smallest_scale_for_fps()", "Sweep.cheapest()")
-    hit = cheapest_meeting_fps(app, fps, n_pixels, scheme, tuple(sorted(scales)))
-    return hit.scale_factor if hit else None
 
 
 def efficiency_sweet_spot(points: List[DesignPoint]) -> DesignPoint:

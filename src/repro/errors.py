@@ -3,9 +3,9 @@
 Every failure a :class:`repro.api.Session` can raise derives from
 :class:`ReproError`, whichever execution path produced it:
 
-- :class:`repro.core.dse.AmbiguousAxisError` — a scalar query named no
-  value for an axis the grid sweeps (also a :class:`KeyError` for
-  backward compatibility);
+- :class:`AmbiguousAxisError` — a scalar query named no value for an
+  axis the grid sweeps (also a :class:`KeyError` for backward
+  compatibility);
 - :class:`NotOnGridError` — a query named a value absent from the
   evaluated grid (also a :class:`KeyError`);
 - :class:`InfeasibleQueryError` — a constraint query (``cheapest``)
@@ -50,13 +50,40 @@ class UnknownAxisError(ReproError, AttributeError):
         self.suggestion = suggestion
 
 
+class AmbiguousAxisError(ReproError, KeyError):
+    """A scalar query named no value for an axis the grid sweeps.
+
+    Carries the ambiguous ``axis`` name and its swept ``values`` so
+    structured consumers — the query service's 400 responses — can
+    report exactly which selector is missing instead of parsing the
+    message.  Subclasses :class:`KeyError`, so existing callers that
+    catch the old bare error keep working.
+    """
+
+    def __init__(self, axis: str, values):
+        self.axis = axis
+        self.values = tuple(values)
+        super().__init__(
+            f"grid sweeps {axis} over {self.values}; pass an explicit value"
+        )
+
+    def __str__(self) -> str:  # KeyError repr-quotes its payload; don't
+        return self.args[0]
+
+
 class NotOnGridError(ReproError, KeyError):
     """A query named a value absent from the evaluated grid.
 
     Also a :class:`KeyError`, so pre-facade callers that caught the old
     bare error keep working; the service layer maps it to a structured
-    404 (``error.code == "not-on-grid"``).
+    404 (``error.code == "not-on-grid"``) whose details carry ``axis``
+    and the axis ``values`` when the raiser named them.
     """
+
+    def __init__(self, message: str = "", axis=None, values=()):
+        super().__init__(message)
+        self.axis = axis
+        self.values = tuple(values)
 
     def __str__(self) -> str:  # KeyError repr-quotes its payload; don't
         return str(self.args[0]) if self.args else ""

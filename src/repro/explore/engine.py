@@ -63,12 +63,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core import query
 from repro.core.area_power import ngpc_area_power_batch
 from repro.core.config import NGPCConfig
 from repro.core.dse import (
     _TIMING_FIELDS,
-    TRAIN_STEP_FLOP_FACTOR,
-    AmbiguousAxisError,
     DesignPoint,
     SweepGrid,
     block_fingerprint,
@@ -79,7 +78,6 @@ from repro.core.dse import (
     task_batch_kwargs,
 )
 from repro.core.emulator import EmulationResult, emulate_batch
-from repro.errors import NotOnGridError, infeasible_query
 
 #: per-axis segments of the coarse lattice (round 0 evaluates the
 #: lattice cross product at the last batch cell)
@@ -361,45 +359,6 @@ class AdaptiveExplorer:
         self._cost_order: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- shared plumbing -----------------------------------------------------
-    def _axis_index(self, axis_name: str, value, values: Tuple) -> int:
-        if value is None:
-            if len(values) == 1:
-                return 0
-            raise AmbiguousAxisError(axis_name, values)
-        try:
-            return values.index(value)
-        except ValueError as exc:
-            raise NotOnGridError(f"{axis_name}={value!r} not on the grid") from exc
-
-    def _encoding_index(
-        self,
-        gridtype: Optional[str],
-        log2_hashmap_size: Optional[int],
-        per_level_scale: Optional[float],
-    ) -> Tuple[int, ...]:
-        """Encoding-axis indices of the queried slice.
-
-        Mirrors :meth:`SweepResult._encoding_slice` exactly: ``()`` for
-        non-extended grids (validating any named selector against the
-        resolved sentinel axis), a ``(t, h, r)`` triple otherwise —
-        the explorer keeps one slice state per encoding point.
-        """
-        selectors = (
-            ("gridtype", gridtype, self.grid.gridtypes),
-            ("log2_hashmap_size", log2_hashmap_size,
-             self.grid.log2_hashmap_sizes),
-            ("per_level_scale", per_level_scale, self.grid.per_level_scales),
-        )
-        if not self.grid.is_extended:
-            for name, value, values in selectors:
-                if value is not None:
-                    self._axis_index(name, value, values or ())
-            return ()
-        return tuple(
-            self._axis_index(name, value, values)
-            for name, value, values in selectors
-        )
-
     def _slice_state(
         self, scheme: str, n_pixels: int, enc: Tuple[int, ...] = ()
     ) -> _SliceState:
@@ -474,7 +433,7 @@ class AdaptiveExplorer:
         """Benefit (speedup / mean speedup) from gathered times.
 
         ``a`` indexes the apps along the leading axis of ``acc``.  The
-        arithmetic mirrors :meth:`SweepResult.pareto_front` exactly —
+        arithmetic is :func:`repro.core.query.front_points`' —
         elementwise ``baseline / accelerated`` then a mean over the
         stacked app axis — so values are bit-identical to the
         exhaustive path.
@@ -616,24 +575,21 @@ class AdaptiveExplorer:
     # -- pareto --------------------------------------------------------------
     def pareto(
         self,
-        scheme: str,
+        scheme: Optional[str] = None,
         n_pixels: Optional[int] = None,
         app: Optional[str] = None,
         gridtype: Optional[str] = None,
         log2_hashmap_size: Optional[int] = None,
         per_level_scale: Optional[float] = None,
     ) -> List[DesignPoint]:
-        """Adaptive :meth:`SweepResult.pareto_front` — identical answer.
-
-        On extended grids the encoding selectors name the slice to
-        query, with the same ambiguity rule as the exhaustive path.
-        """
+        """Adaptive :meth:`SweepResult.pareto_front` — identical answer."""
         with self._lock:
+            j, l, i, enc = query.front_selectors(
+                self.grid, scheme, n_pixels, app,
+                gridtype, log2_hashmap_size, per_level_scale,
+            )
             return self._pareto(
-                scheme, n_pixels, app,
-                self._encoding_index(
-                    gridtype, log2_hashmap_size, per_level_scale
-                ),
+                self.grid.schemes[j], self.grid.pixel_counts[l], i, enc
             )
 
     def _full_selection(self) -> Tuple[Tuple[int, ...], ...]:
@@ -648,15 +604,9 @@ class AdaptiveExplorer:
         )
         return [int(flat[i]) for i in pareto_front(costs, values)]
 
-    def _pareto(self, scheme, n_pixels, app, enc=()):
-        self.grid.schemes.index(scheme)  # same ValueError as exhaustive
-        l = self._axis_index("n_pixels", n_pixels, self.grid.pixel_counts)
-        pixels = self.grid.pixel_counts[l]
+    def _pareto(self, scheme, pixels, app, enc):
         mean_mode = app is None
-        if mean_mode:
-            app_idxs = list(range(len(self.grid.apps)))
-        else:
-            app_idxs = [self.grid.apps.index(app)]
+        app_idxs = list(range(len(self.grid.apps))) if mean_mode else [app]
         state = self._slice_state(scheme, pixels, enc)
         front_flat = self._pareto_front_flat(
             state, scheme, pixels, app_idxs, mean_mode
@@ -828,133 +778,53 @@ class AdaptiveExplorer:
         keep = pareto_front(costs[first], values[first])
         return [int(flat[i]) for i in keep]
 
-    def _config_axes(self, c: int, g: int, e: int, b: int, enc: Tuple = ()) -> Tuple:
-        out = []
-        if len(self.grid.clocks_ghz) > 1:
-            out.append(("clock_ghz", self.grid.clocks_ghz[c]))
-        if len(self.grid.grid_sram_kb) > 1:
-            out.append(("grid_sram_kb", self.grid.grid_sram_kb[g]))
-        if len(self.grid.n_engines) > 1:
-            out.append(("n_engines", self.grid.n_engines[e]))
-        if len(self.grid.n_batches) > 1:
-            out.append(("n_batches", self.grid.n_batches[b]))
-        if enc:
-            t, h, r = enc
-            if len(self.grid.gridtypes) > 1:
-                out.append(("gridtype", self.grid.gridtypes[t]))
-            if len(self.grid.log2_hashmap_sizes) > 1:
-                out.append(
-                    ("log2_hashmap_size", self.grid.log2_hashmap_sizes[h])
-                )
-            if len(self.grid.per_level_scales) > 1:
-                out.append(("per_level_scale", self.grid.per_level_scales[r]))
-        return tuple(out)
-
     def _design_point(self, state, flat) -> DesignPoint:
         """Build the exhaustive-identical payload for an evaluated cell."""
         k, c, g, e, b = (
             int(v) for v in np.unravel_index(flat, self._slice_shape)
         )
         acc = state.gather(slice(None), k, c, g, e, b)
-        speedups = {
-            a: float(state.base[i] / acc[i])
-            for i, a in enumerate(self.grid.apps)
-        }
-        return DesignPoint(
-            scale_factor=self.grid.scale_factors[k],
-            area_overhead_pct=float(self._area4[k, c, g, e]),
-            power_overhead_pct=float(self._power4[k, c, g, e]),
-            speedups=speedups,
-            config_axes=self._config_axes(c, g, e, b, state.enc),
+        return query.design_point(
+            self.grid, (k, c, g, e, b), state.enc,
+            self._area4, self._power4, state.base / acc,
         )
 
     # -- cheapest ------------------------------------------------------------
     def cheapest(
         self,
-        app: str,
-        fps: float,
+        app: Optional[str] = None,
+        fps: Optional[float] = None,
         n_pixels: Optional[int] = None,
         scheme: Optional[str] = None,
         gridtype: Optional[str] = None,
         log2_hashmap_size: Optional[int] = None,
         per_level_scale: Optional[float] = None,
+        *,
+        train_steps_per_s: Optional[float] = None,
     ) -> DesignPoint:
-        """Adaptive :meth:`SweepResult.cheapest_point_meeting_fps`.
+        """Adaptive :meth:`SweepResult.cheapest` — identical answer.
 
-        Identical answer on feasible queries; an infeasible one raises
-        :class:`~repro.errors.InfeasibleQueryError` (by which point the
-        whole slice has necessarily been evaluated — nothing can be
-        skipped when no feasible cost bounds the search).
+        Both metrics fall as ``accelerated_ms`` grows, so the
+        batch-column bound and the ascending-cost walk hold for either.
+        An infeasible query raises the dense path's
+        :class:`~repro.errors.InfeasibleQueryError`, built from the
+        cells evaluated so far: by then the whole last-batch plane,
+        which holds the slice's fastest points, has been probed.
         """
-        if fps <= 0:
-            raise ValueError("fps must be positive")
-        budget_ms = 1000.0 / fps
+        metric, target = query.cheapest_target(fps, train_steps_per_s)
         with self._lock:
-            point = self._cheapest(
-                app, lambda ms: ms <= budget_ms, n_pixels, scheme,
-                self._encoding_index(
-                    gridtype, log2_hashmap_size, per_level_scale
-                ),
-                infeasible_fps=fps,
+            i, j, l, enc = query.cheapest_selectors(
+                self.grid, app, scheme, n_pixels,
+                gridtype, log2_hashmap_size, per_level_scale,
             )
-        return point
-
-    def cheapest_train(
-        self,
-        app: str,
-        steps_per_s: float,
-        n_pixels: Optional[int] = None,
-        scheme: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
-    ) -> Optional[DesignPoint]:
-        """Adaptive :meth:`SweepResult.cheapest_point_meeting_train_rate`.
-
-        The search machinery is shared with :meth:`cheapest` — the
-        derived training rate is monotone in ``1 / accelerated_ms``, so
-        the batch-column bound and the ascending-cost walk both hold
-        unchanged.  Mirrors the exhaustive method by returning ``None``
-        when no grid point trains fast enough (proven only after the
-        whole slice's feasibility has been probed).
-        """
-        if steps_per_s <= 0:
-            raise ValueError("steps_per_s must be positive")
-        from repro.apps.params import get_config
-        from repro.apps.trainer import TrainerConfig
-        from repro.gpu.kernels import samples_per_frame
-
-        with self._lock:
-            j = self._axis_index("scheme", scheme, self.grid.schemes)
-            l = self._axis_index("n_pixels", n_pixels, self.grid.pixel_counts)
-            samples = samples_per_frame(
-                get_config(app, self.grid.schemes[j]),
-                self.grid.pixel_counts[l],
-            )
-            batch = TrainerConfig().batch_size
-
-            def feasible_of(acc_ms):
-                # same expression (and evaluation order) as
-                # train_steps_per_s_batch, for bit-identical boundaries
-                rate = (samples / acc_ms) * 1000.0 / (
-                    batch * TRAIN_STEP_FLOP_FACTOR
-                )
-                return rate >= steps_per_s
-
             return self._cheapest(
-                app, feasible_of, n_pixels, scheme,
-                self._encoding_index(
-                    gridtype, log2_hashmap_size, per_level_scale
-                ),
+                i, self.grid.schemes[j], self.grid.pixel_counts[l], enc,
+                metric, target,
             )
 
-    def _cheapest(self, app, feasible_of, n_pixels, scheme, enc,
-                  infeasible_fps=None):
-        i = self.grid.apps.index(app)
-        j = self._axis_index("scheme", scheme, self.grid.schemes)
-        l = self._axis_index("n_pixels", n_pixels, self.grid.pixel_counts)
-        scheme_v = self.grid.schemes[j]
-        pixels = self.grid.pixel_counts[l]
+    def _cheapest(self, i, scheme_v, pixels, enc, metric, target):
+        names = (self.grid.apps[i], scheme_v, pixels)
+        feasible_of = metric.feasible(*names, target)
         state = self._slice_state(scheme_v, pixels, enc)
         plane_i = state.plane[i].ravel()  # a view: (K, C, G, E) is contiguous
 
@@ -1001,15 +871,10 @@ class AdaptiveExplorer:
             pos = hi
 
         if not np.isfinite(c_star):
-            if infeasible_fps is None:
-                return None
             evaluated = np.concatenate(
                 [plane_i, state.cols[i, :state.n_cols].ravel()]
             )
-            best_fps = float(1000.0 / np.nanmin(evaluated))
-            raise infeasible_query(
-                app, infeasible_fps, pixels, scheme_v, best_fps
-            )
+            raise metric.error(*names, target, evaluated)
         # materialize the full batch columns of the cost-tied feasible
         # columns: the exhaustive argmin resolves ties by first flat
         # index, which may sit at an earlier batch cell
@@ -1061,10 +926,10 @@ class AdaptiveExplorer:
     # -- single point --------------------------------------------------------
     def point(
         self,
-        app: str,
-        scheme: str,
-        scale_factor: int,
-        n_pixels: int,
+        app: Optional[str] = None,
+        scheme: Optional[str] = None,
+        scale_factor: Optional[int] = None,
+        n_pixels: Optional[int] = None,
         clock_ghz: Optional[float] = None,
         grid_sram_kb: Optional[int] = None,
         n_engines: Optional[int] = None,
@@ -1076,30 +941,18 @@ class AdaptiveExplorer:
         """Adaptive :meth:`SweepResult.point`: evaluates one grid cell."""
         with self._lock:
             grid = self.grid
-            try:
-                i = grid.apps.index(app)
-                grid.schemes.index(scheme)
-                k = grid.scale_factors.index(scale_factor)
-                l = grid.pixel_counts.index(n_pixels)
-            except ValueError as exc:
-                raise NotOnGridError(
-                    f"({app}, {scheme}, {scale_factor}, {n_pixels}) "
-                    f"not on the grid"
-                ) from exc
-            c = self._axis_index("clock_ghz", clock_ghz, grid.clocks_ghz)
-            g = self._axis_index(
-                "grid_sram_kb", grid_sram_kb, grid.grid_sram_kb
+            idx = query.point_index(
+                grid, app, scheme, scale_factor, n_pixels,
+                clock_ghz, grid_sram_kb, n_engines, n_batches,
+                gridtype, log2_hashmap_size, per_level_scale,
             )
-            e = self._axis_index("n_engines", n_engines, grid.n_engines)
-            b = self._axis_index("n_batches", n_batches, grid.n_batches)
-            enc = self._encoding_index(
-                gridtype, log2_hashmap_size, per_level_scale
-            )
-            pixels = grid.pixel_counts[l]
+            i, j, k, l, c, g, e, b = idx[:8]
+            enc = idx[8:]
+            scheme, pixels = grid.schemes[j], grid.pixel_counts[l]
             sel = ((k,), (c,), (g,), (e,), (b,))
             # evaluate through the runner directly: the slice state only
             # keeps baseline/accelerated, a point needs every engine
-            task = selection_task(grid, app, scheme, pixels, sel,
+            task = selection_task(grid, grid.apps[i], scheme, pixels, sel,
                                   encoding=enc or None)
             self.stats.blocks_total += 1
             ((block, cached),) = self.runner.evaluate([task])
@@ -1109,17 +962,7 @@ class AdaptiveExplorer:
                 self.stats.blocks_evaluated += 1
             state = self._slice_state(scheme, pixels, enc)
             self._scatter(state, i, sel, block)
-            idx = tuple(0 for _ in block["accelerated_ms"].shape)
-            return EmulationResult(
-                app=app,
-                scheme=scheme,
-                scale_factor=scale_factor,
-                n_pixels=pixels,
-                baseline_ms=float(block["baseline_ms"][idx]),
-                accelerated_ms=float(block["accelerated_ms"][idx]),
-                encoding_engine_ms=float(block["encoding_engine_ms"][idx]),
-                mlp_engine_ms=float(block["mlp_engine_ms"][idx]),
-                dma_ms=float(block["dma_ms"][idx]),
-                fused_rest_ms=float(block["fused_rest_ms"][idx]),
-                amdahl_bound=float(np.asarray(block["amdahl_bound"])),
-            )
+            at = (0,) * block["accelerated_ms"].ndim
+            timings = {name: float(block[name][at]) for name in _TIMING_FIELDS}
+            timings["amdahl_bound"] = float(np.asarray(block["amdahl_bound"]))
+            return query.point_result(grid, idx, timings)

@@ -3,20 +3,24 @@
 Every failure a client can trigger maps to a :class:`ServiceError`
 carrying an HTTP-style status, a stable machine-readable ``code`` and
 arbitrary structured ``details`` — the HTTP layer serializes it
-verbatim, the in-process client raises it.  The one domain error with
-dedicated structure is the ambiguous-axis case
-(:class:`repro.core.dse.AmbiguousAxisError`): a scalar query against a
-swept axis without an explicit selector is a client mistake, and the
-400 payload names the offending axis and its values so the caller can
-repair the request programmatically.
+verbatim, the in-process client raises it.  The selector errors carry
+dedicated structure: a scalar query against a swept axis without an
+explicit selector (:class:`repro.errors.AmbiguousAxisError`, a 400) or
+a selector value off the grid (:class:`repro.errors.NotOnGridError`, a
+404) names the offending axis and its values, so the caller can repair
+the request programmatically.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.core.dse import AmbiguousAxisError
-from repro.errors import InfeasibleQueryError, ReproError
+from repro.errors import (
+    AmbiguousAxisError,
+    InfeasibleQueryError,
+    NotOnGridError,
+    ReproError,
+)
 from repro.transport import FrameError
 
 
@@ -76,7 +80,10 @@ def as_service_error(exc: BaseException) -> ServiceError:
     if isinstance(exc, KeyError):
         # KeyError str() repr-quotes its single argument; unwrap it
         message = str(exc.args[0]) if exc.args else str(exc)
-        return ServiceError(404, "not-on-grid", message)
+        details = {}
+        if isinstance(exc, NotOnGridError) and exc.axis is not None:
+            details = dict(axis=exc.axis, values=list(exc.values))
+        return ServiceError(404, "not-on-grid", message, **details)
     if isinstance(exc, (ValueError, TypeError)):
         return ServiceError(400, "bad-request", str(exc))
     return ServiceError(500, "internal", f"{type(exc).__name__}: {exc}")

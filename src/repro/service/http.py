@@ -168,24 +168,15 @@ async def _handle_cheapest(service: SweepService, payload: Dict):
             400, "bad-request",
             "body must name a target 'fps' or 'train_steps_per_s'",
         )
-    if "train_steps_per_s" in payload:
-        point = await service.cheapest_point_meeting_train_rate(
-            payload.get("grid"),
-            app=payload.get("app"),
-            steps_per_s=float(payload["train_steps_per_s"]),
-            n_pixels=payload.get("n_pixels"),
-            scheme=payload.get("scheme"),
-            **_encoding_selectors(payload),
-        )
-    else:
-        point = await service.cheapest_point_meeting_fps(
-            payload.get("grid"),
-            app=payload.get("app"),
-            fps=float(payload["fps"]),
-            n_pixels=payload.get("n_pixels"),
-            scheme=payload.get("scheme"),
-            **_encoding_selectors(payload),
-        )
+    target = "train_steps_per_s" if "train_steps_per_s" in payload else "fps"
+    point = await service.cheapest(
+        payload.get("grid"),
+        app=payload.get("app"),
+        n_pixels=payload.get("n_pixels"),
+        scheme=payload.get("scheme"),
+        **{target: float(payload[target])},
+        **_encoding_selectors(payload),
+    )
     return None if point is None else point.to_dict()
 
 

@@ -10,10 +10,11 @@ event loop and turns ticks into ``/sweep/stream`` events.
 :class:`PartialSweep` holds dense speedup arrays that blocks scatter
 into (gated by a validity mask — unevaluated entries are never read),
 and computes **exact partial Pareto fronts**: only grid points whose
-every app slice is evaluated are candidates, and the math mirrors
-:meth:`repro.core.dse.SweepResult.pareto_front` operation for
-operation, so the moment the last block lands the partial front is
-bit-identical to the dense result's front.  Fronts only ever refine —
+every app slice is evaluated are candidates, and the front is built by
+the same :func:`repro.core.query.front_points` as
+:meth:`repro.core.dse.SweepResult.pareto_front`, so the moment the last
+block lands the partial front is bit-identical to the dense result's
+front.  Fronts only ever refine —
 each is exact over the evaluated subset, never an estimate.
 """
 
@@ -25,29 +26,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core import query
 from repro.core.config import NGPCConfig
-from repro.core.dse import (
-    AmbiguousAxisError,
-    DesignPoint,
-    NotOnGridError,
-    SweepGrid,
-    design_front,
-)
+from repro.core.dse import DesignPoint, SweepGrid
 from repro.core.area_power import ngpc_area_power_batch
 
 __all__ = ["PartialSweep", "SweepProgress"]
-
-
-def _axis_index(axis_name: str, value, values: Tuple) -> int:
-    """Mirror of ``SweepResult._axis_index`` (same ambiguity rule)."""
-    if value is None:
-        if len(values) == 1:
-            return 0
-        raise AmbiguousAxisError(axis_name, values)
-    try:
-        return values.index(value)
-    except ValueError as exc:
-        raise NotOnGridError(f"{axis_name}={value!r} not on the grid") from exc
 
 
 class PartialSweep:
@@ -89,49 +73,9 @@ class PartialSweep:
             self._valid[dest] = True
         return fresh
 
-    def _encoding_slice(
-        self,
-        gridtype=None,
-        log2_hashmap_size=None,
-        per_level_scale=None,
-    ) -> Tuple:
-        """Mirror of ``SweepResult._encoding_slice`` (same rules)."""
-        grid = self.grid
-        selectors = (
-            ("gridtype", gridtype, grid.gridtypes),
-            ("log2_hashmap_size", log2_hashmap_size, grid.log2_hashmap_sizes),
-            ("per_level_scale", per_level_scale, grid.per_level_scales),
-        )
-        if not grid.is_extended:
-            for name, value, values in selectors:
-                if value is not None:
-                    _axis_index(name, value, values or ())
-            return ()
-        return tuple(
-            _axis_index(name, value, values)
-            for name, value, values in selectors
-        )
-
-    def validate_selectors(
-        self,
-        scheme: str,
-        n_pixels: Optional[int] = None,
-        app: Optional[str] = None,
-        gridtype=None,
-        log2_hashmap_size=None,
-        per_level_scale=None,
-    ) -> None:
-        """Raise the same structured errors a dense front query would."""
-        if scheme not in self.grid.schemes:
-            raise NotOnGridError(f"scheme={scheme!r} not on the grid")
-        _axis_index("n_pixels", n_pixels, self.grid.pixel_counts)
-        if app is not None and app not in self.grid.apps:
-            raise NotOnGridError(f"app={app!r} not on the grid")
-        self._encoding_slice(gridtype, log2_hashmap_size, per_level_scale)
-
     def pareto_front(
         self,
-        scheme: str,
+        scheme: Optional[str] = None,
         n_pixels: Optional[int] = None,
         app: Optional[str] = None,
         gridtype=None,
@@ -142,78 +86,24 @@ class PartialSweep:
 
         A point is a candidate once *every* app's slice at its
         configuration is evaluated (the returned ``speedups`` dict must
-        be complete).  Mirrors
-        :meth:`repro.core.dse.SweepResult.pareto_front` op for op (the
-        same :func:`~repro.core.dse.design_front` kernel), so with every
-        block recorded the output is bit-identical to the dense front.
+        be complete).  Selectors and front assembly are
+        :mod:`repro.core.query`'s, so with every block recorded the
+        output is bit-identical to the dense front.
         """
-        grid = self.grid
-        j = grid.schemes.index(scheme)
-        l = _axis_index("n_pixels", n_pixels, grid.pixel_counts)
-        enc = self._encoding_slice(gridtype, log2_hashmap_size, per_level_scale)
+        j, l, i, enc = query.front_selectors(
+            self.grid, scheme, n_pixels, app,
+            gridtype, log2_hashmap_size, per_level_scale,
+        )
+        plane = (slice(None), j, slice(None), l, Ellipsis) + enc
         with self._lock:
-            valid_plane = self._valid[:, j, :, l]
-            speedup_plane = self._speedup[:, j, :, l]
-            if enc:
-                valid_plane = valid_plane[..., enc[0], enc[1], enc[2]]
-                speedup_plane = speedup_plane[..., enc[0], enc[1], enc[2]]
-            valid = valid_plane.all(axis=0)  # (K, C, G, E, B)
+            valid = self._valid[plane].all(axis=0)  # (K, C, G, E, B)
             if not valid.any():
                 return []
-            if app is None:
-                benefit = speedup_plane.mean(axis=0)
-            else:
-                benefit = speedup_plane[grid.apps.index(app)]
-            front = design_front(
-                benefit, self.area_overhead_pct,
+            return query.front_points(
+                self.grid, self._speedup[plane],
+                self.area_overhead_pct, self.power_overhead_pct, i, enc,
                 None if valid.all() else valid,
             )
-            points = []
-            for k, c, g, e, b in front:
-                speedups = {
-                    a: float(speedup_plane[ia, k, c, g, e, b])
-                    for ia, a in enumerate(grid.apps)
-                }
-                points.append(
-                    DesignPoint(
-                        scale_factor=grid.scale_factors[k],
-                        area_overhead_pct=float(
-                            self.area_overhead_pct[k, c, g, e]
-                        ),
-                        power_overhead_pct=float(
-                            self.power_overhead_pct[k, c, g, e]
-                        ),
-                        speedups=speedups,
-                        config_axes=self._config_axes(c, g, e, b, enc),
-                    )
-                )
-        return points
-
-    def _config_axes(
-        self, c: int, g: int, e: int, b: int, enc: Tuple = ()
-    ) -> Tuple:
-        """Mirror of ``SweepResult._config_axes`` (non-singleton axes)."""
-        grid = self.grid
-        out = []
-        if len(grid.clocks_ghz) > 1:
-            out.append(("clock_ghz", grid.clocks_ghz[c]))
-        if len(grid.grid_sram_kb) > 1:
-            out.append(("grid_sram_kb", grid.grid_sram_kb[g]))
-        if len(grid.n_engines) > 1:
-            out.append(("n_engines", grid.n_engines[e]))
-        if len(grid.n_batches) > 1:
-            out.append(("n_batches", grid.n_batches[b]))
-        if enc:
-            t, h, r = enc
-            if len(grid.gridtypes) > 1:
-                out.append(("gridtype", grid.gridtypes[t]))
-            if len(grid.log2_hashmap_sizes) > 1:
-                out.append(
-                    ("log2_hashmap_size", grid.log2_hashmap_sizes[h])
-                )
-            if len(grid.per_level_scales) > 1:
-                out.append(("per_level_scale", grid.per_level_scales[r]))
-        return tuple(out)
 
 
 class SweepProgress:

@@ -31,9 +31,11 @@ properties make it safe to put in front of many concurrent users:
   ``disk_hits`` / ``evaluations``), so ``/stats`` can never report a
   "miss" that was actually served from disk.
 
-Scalar queries against a swept axis without an explicit selector raise
-:class:`~repro.core.dse.AmbiguousAxisError`, which the error layer maps
-to a structured 400 naming the axis.
+Queries resolve their selectors through :mod:`repro.core.query`: a
+scalar query against a swept axis without an explicit selector raises
+:class:`~repro.errors.AmbiguousAxisError` and a value off the grid
+:class:`~repro.errors.NotOnGridError`, which the error layer maps to a
+structured 400 / 404 naming the axis.
 """
 
 from __future__ import annotations
@@ -45,11 +47,11 @@ import inspect
 import threading
 from typing import AsyncIterator, Dict, Hashable, List, Optional, Set, Union
 
+from repro.core import query
 from repro.core.cache import ModelCache
 from repro.core.dse import (
     _ENGINES,
     PAYLOAD_SCHEMA_VERSION,
-    AmbiguousAxisError,
     DesignPoint,
     EmulationResult,
     SweepGrid,
@@ -69,7 +71,7 @@ from repro.explore import (
     LocalBlockRunner,
     StoreBlockRunner,
 )
-from repro.service.errors import ServiceError, as_service_error
+from repro.service.errors import as_service_error
 from repro.service.progress import SweepProgress
 from repro.store import (
     ResultStore,
@@ -117,52 +119,6 @@ def _as_grid(grid: GridLike) -> SweepGrid:
     if isinstance(grid, SweepGrid):
         return grid
     return SweepGrid.from_dict(grid)
-
-
-def _pick(axis: str, values, value):
-    """Resolve an optional selector against a grid axis.
-
-    Mirrors :meth:`SweepResult._axis_index`'s ambiguity rule at the
-    service boundary: an unset selector is fine only when the axis is a
-    singleton.
-    """
-    if value is not None:
-        if value not in values:
-            raise ServiceError(
-                404, "not-on-grid", f"{axis}={value!r} not on the grid",
-                axis=axis, values=list(values),
-            )
-        return value
-    if len(values) == 1:
-        return values[0]
-    raise AmbiguousAxisError(axis, values)
-
-
-def _pick_encoding(grid, gridtype, log2_hashmap_size, per_level_scale):
-    """Validate the encoding-axis selectors against ``grid`` up front.
-
-    Returns the selector kwargs to forward to the result/partial query
-    (the queries re-apply the exact ambiguity rule themselves); raises
-    the same structured 400/404 as :func:`_pick` so a stream fails
-    before any evaluation starts.
-    """
-    selectors = (
-        ("gridtype", grid.gridtypes, gridtype),
-        ("log2_hashmap_size", grid.log2_hashmap_sizes, log2_hashmap_size),
-        ("per_level_scale", grid.per_level_scales, per_level_scale),
-    )
-    encoding = {}
-    for axis, values, value in selectors:
-        if grid.is_extended:
-            _pick(axis, values, value)
-        elif value is not None and value not in (values or ()):
-            raise ServiceError(
-                404, "not-on-grid", f"{axis}={value!r} not on the grid",
-                axis=axis, values=list(values or ()),
-            )
-        if value is not None:
-            encoding[axis] = value
-    return encoding
 
 
 class SweepService:
@@ -513,16 +469,14 @@ class SweepService:
         lands in the cache.
         """
         resolved = _as_grid(grid).resolve(self.ngpc).normalized()
-        scheme = _pick("scheme", resolved.schemes, scheme)
-        n_pixels = _pick("n_pixels", resolved.pixel_counts, n_pixels)
-        if app is not None and app not in resolved.apps:
-            raise ServiceError(
-                404, "not-on-grid", f"app={app!r} not on the grid",
-                axis="app", values=list(resolved.apps),
-            )
-        encoding = _pick_encoding(
-            resolved, gridtype, log2_hashmap_size, per_level_scale
+        encoding = dict(
+            gridtype=gridtype, log2_hashmap_size=log2_hashmap_size,
+            per_level_scale=per_level_scale,
         )
+        try:  # the structured error a plain /pareto would have answered
+            query.front_selectors(resolved, scheme, n_pixels, app, **encoding)
+        except KeyError as exc:
+            raise as_service_error(exc) from exc
         key = sweep_fingerprint(resolved, self.ngpc)
         loop = asyncio.get_running_loop()
         if key not in self._inflight:
@@ -655,178 +609,69 @@ class SweepService:
         )
 
     # -- queries -------------------------------------------------------------
+    # Each query asks the grid's source — the adaptive explorer off-loop,
+    # or the dense result — which resolves the selectors itself.
     async def pareto_front(
         self,
         grid: GridLike = None,
         scheme: Optional[str] = None,
         n_pixels: Optional[int] = None,
         app: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
+        **encoding,
     ) -> List[DesignPoint]:
         """Non-dominated (area, speedup) configurations of the grid."""
         if self.explore == "adaptive":
-            explorer = self._explorer_for(grid)
-            g = explorer.grid
-            scheme = _pick("scheme", g.schemes, scheme)
-            if app is not None and app not in g.apps:
-                raise ServiceError(
-                    404, "not-on-grid", f"app={app!r} not on the grid",
-                    axis="app", values=list(g.apps),
-                )
-            encoding = _pick_encoding(
-                g, gridtype, log2_hashmap_size, per_level_scale
-            )
             return await self._explore(
-                explorer.pareto, scheme, n_pixels=n_pixels, app=app,
+                self._explorer_for(grid).pareto, scheme, n_pixels, app,
                 **encoding,
             )
         result = await self.sweep(grid)
-        scheme = _pick("scheme", result.grid.schemes, scheme)
-        if app is not None and app not in result.grid.apps:
-            raise ServiceError(
-                404, "not-on-grid", f"app={app!r} not on the grid",
-                axis="app", values=list(result.grid.apps),
-            )
-        encoding = _pick_encoding(
-            result.grid, gridtype, log2_hashmap_size, per_level_scale
-        )
-        return result.pareto_front(
-            scheme, n_pixels=n_pixels, app=app, **encoding
-        )
+        return result.pareto_front(scheme, n_pixels, app, **encoding)
 
-    async def cheapest_point_meeting_fps(
-        self,
-        grid: GridLike,
-        app: str,
-        fps: float,
-        n_pixels: Optional[int] = None,
-        scheme: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
-    ) -> Optional[DesignPoint]:
-        """Cheapest-area configuration hitting ``fps``, or None.
-
-        Both explore modes keep this endpoint's None-on-infeasible
-        contract (the wire payload is ``result: null``); the
-        :class:`~repro.errors.InfeasibleQueryError` contract lives in
-        the client-side facade, which reconstructs the structured error
-        from the dense result it fetched.
-        """
-        if self.explore == "adaptive":
-            explorer = self._explorer_for(grid)
-            app = _pick("app", explorer.grid.apps, app)
-            encoding = _pick_encoding(
-                explorer.grid, gridtype, log2_hashmap_size, per_level_scale
-            )
-            try:
-                return await self._explore(
-                    explorer.cheapest, app, fps,
-                    n_pixels=n_pixels, scheme=scheme, **encoding,
-                )
-            except InfeasibleQueryError:
-                return None
-        result = await self.sweep(grid)
-        app = _pick("app", result.grid.apps, app)
-        encoding = _pick_encoding(
-            result.grid, gridtype, log2_hashmap_size, per_level_scale
-        )
-        return result.cheapest_point_meeting_fps(
-            app, fps, n_pixels=n_pixels, scheme=scheme, **encoding
-        )
-
-    async def cheapest_point_meeting_train_rate(
-        self,
-        grid: GridLike,
-        app: str,
-        steps_per_s: float,
-        n_pixels: Optional[int] = None,
-        scheme: Optional[str] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
-    ) -> Optional[DesignPoint]:
-        """Cheapest-area configuration training at ``steps_per_s``, or None.
-
-        The training-throughput twin of
-        :meth:`cheapest_point_meeting_fps`, with the same
-        None-on-infeasible wire contract.
-        """
-        if self.explore == "adaptive":
-            explorer = self._explorer_for(grid)
-            app = _pick("app", explorer.grid.apps, app)
-            encoding = _pick_encoding(
-                explorer.grid, gridtype, log2_hashmap_size, per_level_scale
-            )
-            return await self._explore(
-                explorer.cheapest_train, app, steps_per_s,
-                n_pixels=n_pixels, scheme=scheme, **encoding,
-            )
-        result = await self.sweep(grid)
-        app = _pick("app", result.grid.apps, app)
-        encoding = _pick_encoding(
-            result.grid, gridtype, log2_hashmap_size, per_level_scale
-        )
-        return result.cheapest_point_meeting_train_rate(
-            app, steps_per_s, n_pixels=n_pixels, scheme=scheme, **encoding
-        )
-
-    async def point(
+    async def cheapest(
         self,
         grid: GridLike,
         app: Optional[str] = None,
-        scheme: Optional[str] = None,
-        scale_factor: Optional[int] = None,
+        fps: Optional[float] = None,
         n_pixels: Optional[int] = None,
-        clock_ghz: Optional[float] = None,
-        grid_sram_kb: Optional[int] = None,
-        n_engines: Optional[int] = None,
-        n_batches: Optional[int] = None,
-        gridtype: Optional[str] = None,
-        log2_hashmap_size: Optional[int] = None,
-        per_level_scale: Optional[float] = None,
-    ) -> EmulationResult:
+        scheme: Optional[str] = None,
+        **selectors,
+    ) -> Optional[DesignPoint]:
+        """Cheapest-area configuration meeting a target, or None.
+
+        The target is ``fps`` or ``train_steps_per_s``, as for
+        :meth:`repro.core.dse.SweepResult.cheapest`; an infeasible one
+        answers None (the ``/cheapest`` wire's ``result: null``).
+        """
+        try:
+            if self.explore == "adaptive":
+                return await self._explore(
+                    self._explorer_for(grid).cheapest,
+                    app, fps, n_pixels, scheme, **selectors,
+                )
+            result = await self.sweep(grid)
+            return result.cheapest(app, fps, n_pixels, scheme, **selectors)
+        except InfeasibleQueryError:
+            return None
+
+    async def cheapest_point_meeting_fps(
+        self, grid: GridLike, app: str, fps: float, **selectors
+    ) -> Optional[DesignPoint]:
+        """:meth:`cheapest` at ``fps``."""
+        return await self.cheapest(grid, app, fps, **selectors)
+
+    async def point(self, grid: GridLike, **selectors) -> EmulationResult:
         """One grid point's :class:`EmulationResult`.
 
         Every selector follows the ambiguity rule: optional when its
         axis is a singleton, a structured 400 naming the axis otherwise.
         """
         if self.explore == "adaptive":
-            explorer = self._explorer_for(grid)
-            g = explorer.grid
-            encoding = _pick_encoding(
-                g, gridtype, log2_hashmap_size, per_level_scale
-            )
             return await self._explore(
-                explorer.point,
-                _pick("app", g.apps, app),
-                _pick("scheme", g.schemes, scheme),
-                _pick("scale_factor", g.scale_factors, scale_factor),
-                _pick("n_pixels", g.pixel_counts, n_pixels),
-                clock_ghz=clock_ghz,
-                grid_sram_kb=grid_sram_kb,
-                n_engines=n_engines,
-                n_batches=n_batches,
-                **encoding,
+                self._explorer_for(grid).point, **selectors
             )
         result = await self.sweep(grid)
-        g = result.grid
-        encoding = _pick_encoding(
-            g, gridtype, log2_hashmap_size, per_level_scale
-        )
-        return result.point(
-            _pick("app", g.apps, app),
-            _pick("scheme", g.schemes, scheme),
-            _pick("scale_factor", g.scale_factors, scale_factor),
-            _pick("n_pixels", g.pixel_counts, n_pixels),
-            clock_ghz=clock_ghz,
-            grid_sram_kb=grid_sram_kb,
-            n_engines=n_engines,
-            n_batches=n_batches,
-            **encoding,
-        )
+        return result.point(**selectors)
 
     # -- introspection -------------------------------------------------------
     def stats(self) -> Dict:

@@ -50,14 +50,7 @@ from repro.api import (
     as_sweep_grid,
     sweep_fingerprint,
 )
-from repro.core.dse import (
-    DesignPoint,
-    SweepResult,
-    design_space,
-    pareto_front,
-    pareto_frontier,
-    smallest_scale_for_fps,
-)
+from repro.core.dse import SweepResult
 from repro.gpu.baseline import FHD_PIXELS
 from repro.service import SweepService, start_http_server
 from repro.service.client import SyncServiceClient, request_json
@@ -647,7 +640,7 @@ class TestGridBuilder:
 
 
 # ---------------------------------------------------------------------------
-# unified exception hierarchy + deprecated shims
+# unified exception hierarchy
 # ---------------------------------------------------------------------------
 
 
@@ -682,43 +675,6 @@ class TestExceptionHierarchy:
     def test_unknown_engine_fails_at_construction(self):
         with pytest.raises(ValueError, match="unknown engine"):
             Session.local(engine="gpu")
-
-
-class TestDeprecatedShims:
-    def test_design_space_warns_and_matches_session(self):
-        with pytest.warns(DeprecationWarning, match="design_space"):
-            points = design_space("multi_res_hashgrid")
-        assert [p.scale_factor for p in points] == [8, 16, 32, 64]
-        sweep = Session().sweep(SweepGrid(schemes=("multi_res_hashgrid",)))
-        for point in points:
-            k = sweep.grid.scale_factors.index(point.scale_factor)
-            assert point.area_overhead_pct == pytest.approx(
-                float(sweep.result.area_overhead_pct[k, 0, 0, 0]), rel=RTOL
-            )
-            for app, speedup in point.speedups.items():
-                assert speedup == pytest.approx(
-                    sweep.point(app=app, scale_factor=point.scale_factor).speedup,
-                    rel=RTOL,
-                )
-
-    def test_pareto_frontier_warns_and_delegates_to_pareto_front(self):
-        points = [
-            DesignPoint(8, 5.0, 3.0, {"nerf": 10.0}),
-            DesignPoint(16, 10.0, 6.0, {"nerf": 8.0}),  # dominated
-            DesignPoint(32, 12.0, 7.0, {"nerf": 12.0}),
-        ]
-        with pytest.warns(DeprecationWarning, match="pareto_frontier"):
-            frontier = pareto_frontier(points)
-        keep = pareto_front(
-            [p.area_overhead_pct for p in points],
-            [p.average_speedup for p in points],
-        )
-        assert frontier == [points[i] for i in sorted(keep)]
-
-    def test_smallest_scale_for_fps_warns(self):
-        with pytest.warns(DeprecationWarning, match="smallest_scale_for_fps"):
-            scale = smallest_scale_for_fps("gia", 60, FHD_PIXELS)
-        assert scale == 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,42 @@
-"""Tests for the design-space exploration utilities."""
+"""Tests for the design-space exploration utilities (Figs. 12 + 15)."""
 
 import pytest
 
+from repro.api import InfeasibleQueryError, Session
 from repro.calibration import paper
+from repro.core.config import SCALE_FACTORS
 from repro.core.dse import (
     DesignPoint,
-    design_space,
+    SweepGrid,
     efficiency_sweet_spot,
-    pareto_frontier,
-    smallest_scale_for_fps,
+    pareto_front,
 )
+
+HASHGRID = ("multi_res_hashgrid",)
 
 
 @pytest.fixture(scope="module")
 def points():
-    return design_space("multi_res_hashgrid")
+    """One design point per scale factor, each from its own sweep."""
+    session = Session()
+    return [
+        session.sweep(
+            SweepGrid(schemes=HASHGRID, scale_factors=(scale,))
+        ).pareto()[0]
+        for scale in SCALE_FACTORS
+    ]
+
+
+def smallest_scale(app, fps, n_pixels, scales=SCALE_FACTORS):
+    """The cheapest scale reaching ``fps``, or None."""
+    sweep = Session().sweep(SweepGrid(
+        apps=(app,), schemes=HASHGRID, scale_factors=tuple(scales),
+        pixel_counts=(n_pixels,),
+    ))
+    try:
+        return sweep.cheapest(fps=fps).scale_factor
+    except InfeasibleQueryError:
+        return None
 
 
 class TestDesignSpace:
@@ -47,31 +69,34 @@ class TestDesignSpace:
 class TestParetoFrontier:
     def test_all_scales_on_frontier(self, points):
         """Bigger always costs more AND helps more here, so none dominate."""
-        frontier = pareto_frontier(points)
-        assert len(frontier) == len(points)
+        front = Session().sweep(SweepGrid(schemes=HASHGRID)).pareto()
+        assert [p.to_dict() for p in front] == [p.to_dict() for p in points]
 
     def test_dominated_point_removed(self):
         a = DesignPoint(8, 5.0, 3.0, {"nerf": 10.0})
         b = DesignPoint(16, 10.0, 6.0, {"nerf": 8.0})  # dominated by a
-        frontier = pareto_frontier([a, b])
-        assert frontier == [a]
+        keep = pareto_front(
+            [p.area_overhead_pct for p in (a, b)],
+            [p.average_speedup for p in (a, b)],
+        )
+        assert keep == [0]
 
 
 class TestSmallestScale:
     def test_nerf_4k30_needs_more_than_minimum(self):
         """NGPC-8 cannot hit NeRF 4K@30; a mid-size cluster can."""
-        scale = smallest_scale_for_fps("nerf", 30, paper.RESOLUTIONS["4k"])
+        scale = smallest_scale("nerf", 30, paper.RESOLUTIONS["4k"])
         assert scale in (16, 32, 64)
-        assert smallest_scale_for_fps(
+        assert smallest_scale(
             "nerf", 30, paper.RESOLUTIONS["4k"], scales=(8,)
         ) is None
 
     def test_gia_fhd_needs_smallest(self):
-        assert smallest_scale_for_fps("gia", 60, paper.RESOLUTIONS["fhd"]) == 8
+        assert smallest_scale("gia", 60, paper.RESOLUTIONS["fhd"]) == 8
 
     def test_unreachable_target_returns_none(self):
-        assert smallest_scale_for_fps("nerf", 240, paper.RESOLUTIONS["8k"]) is None
+        assert smallest_scale("nerf", 240, paper.RESOLUTIONS["8k"]) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            smallest_scale_for_fps("nerf", 0, 10**6)
+            smallest_scale("nerf", 0, 10**6)

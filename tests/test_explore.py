@@ -192,6 +192,29 @@ class TestSessionExploreModes:
                              exc.scheme, exc.best_fps))
         assert payloads[0] == payloads[1]
 
+    def test_infeasible_train_query_never_forces_the_dense_sweep(self):
+        """The error comes from the explored slice: the handle never
+        evaluates the grid densely, yet the error equals the exhaustive
+        one field for field."""
+        session = Session.local(engine="vectorized")
+        query = dict(app="gia", train_steps_per_s=10.0**12,
+                     scheme="multi_res_hashgrid")
+        adaptive = session.sweep(GOLDEN_GRID, explore="adaptive")
+        with pytest.raises(InfeasibleQueryError) as adaptive_error:
+            adaptive.cheapest(**query)
+        stats = adaptive.explore_stats
+        assert stats["points_evaluated"] < stats["points_total"]
+        assert "explore='adaptive'" in repr(adaptive)  # no dense result
+        dense = session.sweep(GOLDEN_GRID, explore="exhaustive")
+        with pytest.raises(InfeasibleQueryError) as dense_error:
+            dense.cheapest(**query)
+
+        def fields(exc):
+            return (str(exc), exc.app, exc.steps_per_s, exc.n_pixels,
+                    exc.scheme, exc.best_rate)
+
+        assert fields(adaptive_error.value) == fields(dense_error.value)
+
     def test_auto_picks_by_grid_size(self):
         session = Session.local(engine="vectorized")
         small = session.sweep(GOLDEN_GRID)  # default explore="auto"

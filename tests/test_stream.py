@@ -25,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import Session
+from repro.api import AmbiguousAxisError, NotOnGridError, Session
 from repro.core.dse import (
     SweepGrid,
     _TIMING_FIELDS,
@@ -33,15 +33,19 @@ from repro.core.dse import (
     finalize_sweep_result,
     shard_plan,
     sweep_grid,
+    task_batch_kwargs,
     window_major,
 )
 from repro.core.emulator import emulate_batch
+from repro.explore import AdaptiveExplorer
+from repro.gpu.baseline import FHD_PIXELS
 from repro.service import (
     ServiceError,
     SweepService,
     request_json,
     start_http_server,
 )
+from repro.service.errors import as_service_error
 from repro.service.client import SyncServiceClient
 from repro.service.progress import PartialSweep
 
@@ -158,11 +162,80 @@ class TestPartialSweep:
         assert covered == resolved.size
 
     def test_selector_validation(self):
-        partial = PartialSweep(GRID.resolve(), None)
-        with pytest.raises(Exception):
-            partial.validate_selectors("not-a-scheme")
-        with pytest.raises(Exception):
-            partial.validate_selectors(SCHEME, app="not-an-app")
+        partial = PartialSweep(GRID.resolve(), None)  # no block landed yet
+        with pytest.raises(NotOnGridError, match="scheme='not-a-scheme'"):
+            partial.pareto_front("not-a-scheme")
+        with pytest.raises(NotOnGridError, match="app='not-an-app'"):
+            partial.pareto_front(SCHEME, app="not-an-app")
+
+
+#: two pixel counts, so an unnamed ``n_pixels`` is ambiguous
+SELECTOR_GRID = SweepGrid(
+    apps=("nerf", "gia"),
+    schemes=(SCHEME,),
+    scale_factors=(8, 16),
+    pixel_counts=(FHD_PIXELS, 3840 * 2160),
+    clocks_ghz=(1.0, 1.695),
+).resolve().normalized()  # the service's canonical axis order
+
+SELECTOR_CASES = {
+    "off-grid scheme": (
+        dict(scheme="low_res_densegrid", n_pixels=FHD_PIXELS), NotOnGridError
+    ),
+    "off-grid app": (dict(app="nvr", n_pixels=FHD_PIXELS), NotOnGridError),
+    "off-grid n_pixels": (dict(n_pixels=12345), NotOnGridError),
+    "off-grid gridtype": (
+        dict(n_pixels=FHD_PIXELS, gridtype="hash"), NotOnGridError
+    ),
+    "ambiguous n_pixels": (dict(), AmbiguousAxisError),
+}
+
+
+class TestSelectorErrors:
+    """Every source answers a bad front query with one error."""
+
+    @pytest.fixture(scope="class")
+    def sources(self):
+        dense = sweep_grid(SELECTOR_GRID, engine="vectorized", use_cache=False)
+        partial = PartialSweep(SELECTOR_GRID, None)
+        for placement, task in shard_plan(SELECTOR_GRID, 4):
+            app, scheme, scales, pixels = task[:4]
+            raw = emulate_batch(app, scheme, scales, pixels, None,
+                                **task_batch_kwargs(task))
+            partial.record(placement, raw)
+        explorer = AdaptiveExplorer(SELECTOR_GRID)
+        return {"dense": dense.pareto_front, "partial": partial.pareto_front,
+                "adaptive": explorer.pareto}
+
+    @pytest.mark.parametrize("case", sorted(SELECTOR_CASES))
+    def test_same_class_message_and_status_everywhere(self, sources, case):
+        selectors, expected = SELECTOR_CASES[case]
+        errors = {}
+        for name, pareto in sources.items():
+            with pytest.raises(expected) as excinfo:
+                pareto(**selectors)
+            errors[name] = excinfo.value
+
+        async def served():
+            out = {}
+            for explore in ("exhaustive", "adaptive"):
+                service = SweepService(explore=explore)
+                try:
+                    await service.pareto_front(
+                        SELECTOR_GRID.to_dict(), **selectors
+                    )
+                except expected as exc:
+                    out[f"service-{explore}"] = exc
+            return out
+
+        errors.update(asyncio.run(served()))
+        assert len(errors) == 5
+        assert len({type(e) for e in errors.values()}) == 1
+        assert len({str(e) for e in errors.values()}) == 1
+        bodies = [as_service_error(e).to_payload() for e in errors.values()]
+        assert all(body == bodies[0] for body in bodies)
+        assert bodies[0]["error"]["axis"] in ("scheme", "app", "n_pixels",
+                                               "gridtype")
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,12 @@ from repro.core.cache import cache_stats, clear_model_caches
 from repro.core.config import NFPConfig, NGPCConfig, SCALE_FACTORS
 from repro.core.dse import (
     SweepGrid,
-    cheapest_meeting_fps,
     pareto_front,
-    smallest_scale_for_fps,
     sweep_grid,
 )
 from repro.core.emulator import emulate, emulate_batch, emulate_uncached
 from repro.core.encoding_engine import shift_modulo
+from repro.core.query import config_axes
 from repro.core.energy import energy_per_frame, energy_per_frame_batch
 from repro.workloads.sweep import full_sweep, full_sweep_batched
 
@@ -431,11 +430,11 @@ class TestArchitectureAxes:
         with pytest.raises(KeyError):
             result.pareto_front("multi_res_hashgrid")  # which resolution?
         with pytest.raises(KeyError):
-            result.cheapest_meeting_fps("gia", 60.0, n_pixels=518_400)
+            result.cheapest_point_meeting_fps("gia", 60.0, n_pixels=518_400)
         assert result.pareto_front("multi_res_hashgrid", 518_400)
-        assert result.cheapest_meeting_fps(
+        assert result.cheapest_point_meeting_fps(
             "gia", 60.0, n_pixels=518_400, scheme="multi_res_hashgrid"
-        ) == 8
+        ).scale_factor == 8
 
     def test_cheapest_point_carries_architecture_config(self):
         grid = SweepGrid(
@@ -456,8 +455,6 @@ class TestArchitectureAxes:
             clock_ghz=axes["clock_ghz"], grid_sram_kb=axes["grid_sram_kb"],
         )
         assert point.fps >= 30.0
-        # and the scale-only view agrees with the full answer
-        assert result.cheapest_meeting_fps("nerf", 30.0) == hit.scale_factor
 
     def test_no_overlap_conflicts_with_batches_axis(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -636,7 +633,7 @@ def _unreduced_front(result, scheme, app=None):
                 a: float(speedup[i, k, c, g, e, b])
                 for i, a in enumerate(result.grid.apps)
             },
-            config_axes=result._config_axes(c, g, e, b),
+            config_axes=config_axes(result.grid, c, g, e, b),
         ))
     return points
 
@@ -705,26 +702,22 @@ class TestBatchReducedFront:
 
 
 class TestConstraintQueries:
-    def test_cheapest_matches_legacy_smallest_scale(self):
-        for app in APP_NAMES:
-            for fps in (30.0, 60.0, 240.0):
-                legacy = smallest_scale_for_fps(app, fps, 3840 * 2160)
-                hit = cheapest_meeting_fps(app, fps, 3840 * 2160)
-                assert (hit.scale_factor if hit else None) == legacy
-
     def test_unreachable_returns_none(self):
-        assert cheapest_meeting_fps("nerf", 10_000.0) is None
+        result = sweep_grid(SweepGrid(apps=("nerf",)))
+        assert result.cheapest_point_meeting_fps("nerf", 10_000.0) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            cheapest_meeting_fps("nerf", 0.0)
+            sweep_grid(SweepGrid(apps=("nerf",))).cheapest_point_meeting_fps(
+                "nerf", 0.0
+            )
 
     def test_grid_query_api(self):
         result = sweep_grid()
-        scale = result.cheapest_meeting_fps(
+        hit = result.cheapest_point_meeting_fps(
             "gia", 60.0, scheme="multi_res_hashgrid"
         )
-        assert scale == 8
+        assert hit.scale_factor == 8
         with pytest.raises(KeyError):
             result.point("gia", "multi_res_hashgrid", 8, 12345)
 

@@ -25,7 +25,11 @@
 # `repro dse --explore adaptive` run) and its acceptance gates
 # (bench_adaptive --quick: golden equality, <= 10% of a multi-million
 # point hypercube evaluated, >= 5x cold wall clock, emitting
-# BENCH_adaptive.json).  The streaming result path gets a pickle ban
+# BENCH_adaptive.json).  A one-definition check keeps the query
+# selector rule and point provenance in src/repro/core/query.py (no
+# private `_axis_index`/`_encoding_slice`/`_encoding_index`/
+# `_config_axes`/`_pick` helper anywhere else under src/repro).  The
+# streaming result path gets a pickle ban
 # (no `import pickle` / `pickle.` call anywhere under
 # src/repro/service — the versioned binary frame transport replaced
 # it on the wire) and its acceptance gates (bench_stream --quick:
@@ -231,6 +235,20 @@ pickle_ban() {
     echo "no pickle imports or calls under src/repro/service"
 }
 step "pickle ban (the frame transport owns the wire)" pickle_ban
+
+# every source answers queries through src/repro/core/query.py: a
+# private selector or provenance helper anywhere else is a mirror of it
+# growing back
+one_query_definition() {
+    if grep -rnE --include='*.py' \
+        'def (_axis_index|_encoding_slice|_encoding_index|_config_axes|_pick)' \
+        src/repro | grep -v '^src/repro/core/query\.py:'; then
+        echo "FAIL: query selector helper defined outside core/query.py" >&2
+        return 1
+    fi
+    echo "query selectors and provenance are defined once, in repro.core.query"
+}
+step "one query definition (no selector mirrors)" one_query_definition
 
 step "streaming gates (smoke)" python benchmarks/bench_stream.py --quick
 
