@@ -16,6 +16,12 @@ Two acceptance gates guard the sweep engine:
    still beat the scalar engine by >= 10x (>= 5x in --quick), proving
    axes registered through ``repro.core.axes`` ride the batched paths.
 
+4. The architecture grid's result must hold at most 12 bytes per point
+   (``result_bytes_per_point``): only ``accelerated_ms`` is dense, the
+   other timing fields are small factors (the dense layout held 48).
+   Always measured on the full >= 50k-point grid, which costs one
+   vectorized sweep.
+
 Both sides agree to 1e-9 relative (the correctness net is
 ``tests/test_golden_values`` + ``tests/test_sweep_engine``; this file
 re-checks a sample so a regression cannot hide behind a fast-but-wrong
@@ -42,7 +48,12 @@ import numpy as np
 
 from repro.apps.params import APP_NAMES, ENCODING_SCHEMES
 from repro.core.config import SCALE_FACTORS
-from repro.core.dse import SweepGrid, pareto_front, sweep_grid
+from repro.core.dse import (
+    RESULT_ARRAY_FIELDS,
+    SweepGrid,
+    pareto_front,
+    sweep_grid,
+)
 from repro.core.emulator import emulate_uncached
 
 #: wall-clock floor for the full >= 1000-point vectorized gate
@@ -54,6 +65,8 @@ QUICK_SPEEDUP_FLOOR = 5.0
 ARCH_SPEEDUP_FLOOR = 10.0
 #: ceiling for a 100k-point Pareto front
 PARETO_100K_CEILING_S = 1.0
+#: ceiling on the distinct bytes a sweep result holds per grid point
+RESULT_BYTES_PER_POINT_CEILING = 12.0
 
 
 def build_grid(n_pixel_steps: int) -> SweepGrid:
@@ -104,6 +117,21 @@ def build_encoding_grid(quick: bool) -> SweepGrid:
         n_batches=(8, 16),
         log2_hashmap_sizes=(14, 19, 22),
     )
+
+
+def result_bytes(result) -> int:
+    """Distinct bytes owned behind every array of a sweep result.
+
+    Broadcast views are followed to the array that owns their memory,
+    so a stride-0 view of a small factor counts as the factor's bytes.
+    """
+    owners = {}
+    for name in RESULT_ARRAY_FIELDS:
+        array = getattr(result, name)
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        owners[id(array)] = array.nbytes
+    return sum(owners.values())
 
 
 def time_naive_loop(grid: SweepGrid) -> float:
@@ -272,6 +300,24 @@ def main(argv=None) -> int:
                 f"vectorized engine only {arch_speedup:.1f}x faster than "
                 f"scalar on the architecture grid (< {ARCH_SPEEDUP_FLOOR:.0f}x)"
             )
+
+    # -- the footprint gate, always on the full architecture grid --------
+    full_arch = build_architecture_grid(False)
+    footprint = result_bytes(sweep_grid(full_arch, use_cache=False))
+    per_point = footprint / full_arch.size
+    results["architecture_grid"].update(
+        result_bytes=footprint,
+        result_bytes_per_point=per_point,
+        result_bytes_per_point_ceiling=RESULT_BYTES_PER_POINT_CEILING,
+    )
+    print(f"  result footprint     : {per_point:9.2f} B/point over "
+          f"{full_arch.size} points "
+          f"(ceiling {RESULT_BYTES_PER_POINT_CEILING:.0f} B/point)")
+    if per_point > RESULT_BYTES_PER_POINT_CEILING:
+        failures.append(
+            f"sweep result holds {per_point:.1f} B/point "
+            f"(> {RESULT_BYTES_PER_POINT_CEILING:.0f})"
+        )
 
     # -- gate 3: the 9-axis encoding grid keeps the vectorized fast path ---
     enc_grid = build_encoding_grid(args.quick)

@@ -53,7 +53,7 @@ from repro.errors import (
 )
 from repro.service.errors import ServiceError
 from repro.service.errors import as_service_error as as_structured_error
-from repro.store import ResultStore, StoreCorruptionWarning
+from repro.store import ResultStore, StoreCorruptionWarning, StoreWriteWarning
 
 __all__ = [
     "AmbiguousAxisError",
@@ -74,6 +74,7 @@ __all__ = [
     "ServiceError",
     "Session",
     "StoreCorruptionWarning",
+    "StoreWriteWarning",
     "Sweep",
     "SweepGrid",
     "SweepResult",

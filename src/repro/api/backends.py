@@ -48,23 +48,19 @@ from repro.core.dse import (
     _ENGINES,
     _SWEEP_CACHE,
     _SWEEP_CACHE_MAX_POINTS,
-    _TIMING_FIELDS,
     EmulationResult,
     SweepGrid,
     SweepResult,
     _resolve_engine,
     assemble_shard_blocks,
-    block_fingerprint,
     finalize_sweep_result,
-    shard_task_shape,
     store_block_plan,
     stream_plan,
     sweep_fingerprint,
     sweep_grid,
-    task_batch_kwargs,
     window_major,
 )
-from repro.core.emulator import emulate, emulate_batch, emulate_with_config
+from repro.core.emulator import emulate, emulate_with_config
 from repro.errors import BackendUnavailableError
 from repro.explore import (
     ClusterBlockRunner,
@@ -77,6 +73,7 @@ from repro.service.progress import PartialSweep
 from repro.store import (
     STORE_ENGINE,
     ResultStore,
+    fetch_blocks,
     new_tier_counters,
     sweep_with_store,
 )
@@ -272,26 +269,9 @@ class LocalBackend(Backend):
         placed = []
         points_done = 0
         last_front = None
-        for placement, task in plan:
-            block = None
-            if self.store is not None:
-                key = block_fingerprint(task, self.ngpc)
-                block = self.store.load_block(key, shard_task_shape(placement))
-                if block is not None:
-                    self.tier["blocks_cached"] += 1
-            if block is None:
-                task_app, task_scheme, scales, pixels = task[:4]
-                evaluated = emulate_batch(
-                    task_app, task_scheme, scales, pixels, self.ngpc,
-                    **task_batch_kwargs(task),
-                )
-                block = {
-                    name: evaluated[name]
-                    for name in _TIMING_FIELDS + ("amdahl_bound",)
-                }
-                if self.store is not None:
-                    self.store.save_block(key, block)
-                    self.tier["blocks_evaluated"] += 1
+        for placement, block in fetch_blocks(
+            self.store, plan, self.ngpc, self.tier
+        ):
             points_done += partial.record(placement, block)
             placed.append((placement, block))
             yield {

@@ -390,6 +390,24 @@ TASK_BATCH_KWARGS = tuple(
 )
 #: extension specs, for quick activity checks
 EXTENSION_AXES = tuple(spec for spec in AXES if not spec.legacy)
+#: the axes each emulator timing field
+#: (:data:`repro.core.emulator.TIMING_FIELDS`) varies along; on the
+#: others a sweep keeps it at length 1 (its *factor*) and reads it
+#: through a stride-0 broadcast view (Olteanu & Schleich, "Factorized
+#: Databases", SIGMOD Record 2016).  A new axis joins every field it
+#: can change.
+TIMING_FIELD_AXES = {
+    "baseline_ms": ("apps", "schemes", "pixel_counts"),
+    "accelerated_ms": AXIS_FIELDS,
+    "encoding_engine_ms": tuple(
+        name for name in AXIS_FIELDS if name != "n_batches"
+    ),
+    "mlp_engine_ms": (
+        "apps", "schemes", "scale_factors", "pixel_counts", "clocks_ghz",
+    ),
+    "dma_ms": ("apps", "schemes", "scale_factors", "pixel_counts"),
+    "fused_rest_ms": ("apps", "schemes", "pixel_counts"),
+}
 
 
 def axis(name: str) -> AxisSpec:

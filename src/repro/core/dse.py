@@ -10,11 +10,12 @@ query over the full N-dimensional cartesian space of
   workload axes *and* four architecture axes — NFP clock (GHz),
   per-engine grid-SRAM size (KB), encoding engines per NFP, and pipeline
   batch count — and :func:`sweep_grid` evaluates *all* of it in one
-  call, returning a :class:`SweepResult` of dense NumPy arrays shaped
-  ``grid.shape``.
+  call, returning a :class:`SweepResult` of NumPy arrays shaped
+  ``grid.shape`` (one dense array, the rest broadcast views of small
+  factors).
 - Two engines: ``"vectorized"`` (NumPy broadcasting through the
   ``*_batch`` fast paths of the core models, each (app, scheme) block
-  written straight into one preallocated set of result arrays — the
+  computed straight into the one preallocated dense array — the
   default) and ``"scalar"`` (the original one-
   :func:`~repro.core.emulator.emulate`-per-point loop, memoized), plus
   ``"auto"``, an accepted alias of ``"vectorized"``.  Both engines
@@ -70,6 +71,8 @@ from repro.core.emulator import (
     EmulationResult,
     emulate_batch,
     emulate_with_config,
+    factor_index,
+    factor_shape,
 )
 from repro.core import query
 from repro.core.query import (  # re-exported for existing importers
@@ -289,6 +292,12 @@ class SweepResult:
     (apps, schemes); the area/power arrays are (scales, clocks, srams,
     engines) — cost depends only on the hardware configuration, not on
     the workload or the pipeline batching.
+
+    Only ``accelerated_ms`` is held dense: every other timing field is
+    held at its :meth:`factor` shape
+    (:data:`~repro.core.axes.TIMING_FIELD_AXES`) and read through a
+    read-only stride-0 :func:`numpy.broadcast_to` view.  The constructor
+    takes each field dense, broadcast or factor-shaped.
     """
 
     grid: SweepGrid
@@ -304,6 +313,20 @@ class SweepResult:
     power_w_7nm: np.ndarray
     area_overhead_pct: np.ndarray
     power_overhead_pct: np.ndarray
+
+    def __post_init__(self):
+        fields, shape = self.grid.axis_fields, self.grid.shape
+        for name in _TIMING_FIELDS:
+            factor = np.asarray(getattr(self, name))[
+                factor_index(name, fields)
+            ]
+            if not factor.flags.c_contiguous:  # dense: keep the factor only
+                factor = np.ascontiguousarray(factor)
+            object.__setattr__(self, name, np.broadcast_to(factor, shape))
+
+    def factor(self, name: str) -> np.ndarray:
+        """Timing field ``name`` at its factor shape (a view, no copy)."""
+        return getattr(self, name)[factor_index(name, self.grid.axis_fields)]
 
     @property
     def speedup(self) -> np.ndarray:
@@ -435,7 +458,9 @@ class SweepResult:
 
         Array shapes are validated against the payload's grid so a
         truncated or hand-edited payload fails here rather than with an
-        off-by-one deep inside a query.  A payload without a
+        off-by-one deep inside a query.  Timing arrays arrive dense, as
+        :meth:`to_payload` writes them; the result keeps only their
+        factors.  A payload without a
         ``schema_version`` is read as version 1 (the pre-versioning
         wire format, which is identical); an unsupported version fails
         loudly instead of misinterpreting arrays.
@@ -443,6 +468,7 @@ class SweepResult:
         check_schema_version(payload.get("schema_version"))
         grid = SweepGrid.from_dict(payload["grid"]).resolve()
         expected = result_array_shapes(grid)
+        expected.update((name, grid.shape) for name in _TIMING_FIELDS)
         arrays = {}
         for name in RESULT_ARRAY_FIELDS:
             if name not in payload:
@@ -556,10 +582,10 @@ class SweepResult:
 # engines
 # ---------------------------------------------------------------------------
 
-# bounded: each entry holds dense float64 arrays for a whole grid
+# bounded: each entry holds one dense float64 array for a whole grid
 _SWEEP_CACHE = ModelCache("sweep_grid", maxsize=128)
-#: grids larger than this are never memoized (a 65k-point result is ~4 MB
-#: of float64; the cache is for the report/CLI-sized grids, not for the
+#: grids larger than this are never memoized (a 65k-point result is
+#: ~0.6 MB; the cache is for the report/CLI-sized grids, not for the
 #: 100k+-point exploration sweeps)
 _SWEEP_CACHE_MAX_POINTS = 1 << 16
 
@@ -574,6 +600,8 @@ RESULT_ARRAY_FIELDS = _TIMING_FIELDS + (
     "area_overhead_pct",
     "power_overhead_pct",
 )
+#: the arrays of one evaluated block (the shard-task evaluation output)
+BLOCK_ARRAY_FIELDS = _TIMING_FIELDS + ("amdahl_bound",)
 
 #: version stamped into every :meth:`SweepResult.to_payload` payload and
 #: every HTTP response envelope; bump when the array schema changes.
@@ -657,16 +685,20 @@ def sweep_fingerprint(
 
 
 def result_array_shapes(grid: SweepGrid) -> Dict[str, Tuple[int, ...]]:
-    """Expected shape of every :class:`SweepResult` array for ``grid``.
+    """Stored shape of every :class:`SweepResult` array for ``grid``.
 
     The one schema both deserializers validate against —
     :meth:`SweepResult.from_payload` (served JSON) and the persistent
     result store (npz columns) — so a truncated or hand-edited artifact
     fails at the boundary instead of with an off-by-one deep inside a
-    query.  ``grid`` must be resolved.
+    query.  Timing fields are at their factor shapes (dense on the JSON
+    wire and in unstamped store entries).  ``grid`` must be resolved.
     """
-    expected = {name: grid.shape for name in _TIMING_FIELDS}
-    expected["amdahl_bound"] = grid.shape[:2]
+    fields, shape = grid.axis_fields, grid.shape
+    expected = {
+        name: factor_shape(name, fields, shape) for name in _TIMING_FIELDS
+    }
+    expected["amdahl_bound"] = shape[:2]
     cost_shape = (
         len(grid.scale_factors), len(grid.clocks_ghz),
         len(grid.grid_sram_kb), len(grid.n_engines),
@@ -775,7 +807,8 @@ def _scalar_result(
 
 def _arrays_scalar(grid: SweepGrid, ngpc: Optional[NGPCConfig]) -> Dict[str, np.ndarray]:
     shape = grid.shape
-    out = _empty_result_arrays(grid)
+    out = {name: np.empty(shape) for name in _TIMING_FIELDS}
+    out["amdahl_bound"] = np.empty(shape[:2])
     config_fields = grid.axis_fields[2:]
     config_axes = [getattr(grid, name) for name in config_fields]
     for i, app in enumerate(grid.apps):
@@ -960,19 +993,37 @@ def install_worker_state(
 
 
 def _empty_result_arrays(grid: SweepGrid) -> Dict[str, np.ndarray]:
-    """One uninitialized set of dense timing + Amdahl arrays for ``grid``."""
-    arrays = {name: np.empty(grid.shape) for name in _TIMING_FIELDS}
-    arrays["amdahl_bound"] = np.empty(grid.shape[:2])
-    return arrays
+    """One uninitialized set of timing factors + Amdahl array for ``grid``."""
+    shapes = result_array_shapes(grid)
+    return {name: np.empty(shapes[name]) for name in BLOCK_ARRAY_FIELDS}
 
 
-def _block_views(
-    arrays: Dict[str, np.ndarray], placement: Tuple
-) -> Dict[str, np.ndarray]:
-    """The timing-field views of ``arrays`` one placed block covers."""
+def _expanded(grid: SweepGrid, arrays: Dict) -> Dict[str, np.ndarray]:
+    """``arrays`` with every timing factor as a grid-shaped broadcast view."""
+    shape = grid.shape
+    return dict(arrays, **{
+        name: np.broadcast_to(arrays[name], shape) for name in _TIMING_FIELDS
+    })
+
+
+def _scatter_block(grid, arrays, placement, block, names) -> None:
+    """Write fields ``names`` of one placed block into the grid's factors:
+    the block's window on the axes a field varies along, cell 0 elsewhere
+    (where a dense block collapses onto the factor)."""
     i, j, windows = placement
-    dest = (i, j) + tuple(slice(lo, hi) for lo, hi in windows)
-    return {name: arrays[name][dest] for name in _TIMING_FIELDS}
+    fields = grid.axis_fields[2:]
+    for name in names:
+        cuts = factor_index(name, fields)
+        dest = (i, j) + tuple(
+            slice(lo, hi) if cut.stop is None else cut
+            for cut, (lo, hi) in zip(cuts, windows)
+        )
+        arrays[name][dest] = block[name][cuts]
+    arrays["amdahl_bound"][i, j] = block["amdahl_bound"]
+
+
+#: the timing fields held as small factors
+_FACTORED_FIELDS = tuple(n for n in _TIMING_FIELDS if n != "accelerated_ms")
 
 
 def evaluate_plan(
@@ -983,47 +1034,49 @@ def evaluate_plan(
 ) -> Dict[str, np.ndarray]:
     """Evaluate every ``(placement, task)`` of ``plan`` in place.
 
-    The one in-process block evaluator: the grid's dense result arrays
-    are allocated once and each task's
-    :func:`~repro.core.emulator.emulate_batch` call writes straight into
-    the views its placement covers — no per-block arrays, no scatter.
-    ``on_block(placement, views)``, when given, is called after each
-    block with its freshly written views (the timing fields plus the
-    scalar ``amdahl_bound``).  ``plan`` must tile ``grid`` exactly, as
-    every :func:`shard_plan` does.
+    The one in-process block evaluator: the grid's one dense array,
+    ``accelerated_ms``, is allocated once and each task's
+    :func:`~repro.core.emulator.emulate_batch` call computes straight
+    into the window its placement covers; each block writes the small
+    windows of the other fields' factors.  Those fields are returned as
+    grid-shaped broadcast views.  ``on_block(placement, views)``, when
+    given, is called after each block with its views (the timing fields
+    plus the scalar ``amdahl_bound``).  ``plan`` must tile ``grid``
+    exactly, as every :func:`shard_plan` does.
     """
     arrays = _empty_result_arrays(grid)
     for placement, task in plan:
         app, scheme, scales, pixels = task[:4]
+        i, j, windows = placement
+        dest = (i, j) + tuple(slice(lo, hi) for lo, hi in windows)
         views = emulate_batch(
             app, scheme, scales, pixels, ngpc,
-            out=_block_views(arrays, placement), **task_batch_kwargs(task),
+            out=arrays["accelerated_ms"][dest], **task_batch_kwargs(task),
         )
-        arrays["amdahl_bound"][placement[:2]] = views["amdahl_bound"]
+        _scatter_block(grid, arrays, placement, views, _FACTORED_FIELDS)
         if on_block is not None:
             on_block(placement, views)
-    return arrays
+    return _expanded(grid, arrays)
 
 
 def assemble_shard_blocks(
     grid: SweepGrid, placed_blocks
 ) -> Dict[str, np.ndarray]:
-    """Scatter evaluated shard blocks back into dense grid arrays.
+    """Scatter evaluated shard blocks back into the grid's arrays.
 
     ``placed_blocks`` yields ``(placement, block)`` pairs — the
     placement from :func:`shard_plan`, the block from
-    :func:`evaluate_shard_task`.  Every grid point must be covered by
-    exactly one block (guaranteed when the placements come from one
-    plan over the same grid).  For blocks that arrive whole (over the
-    wire, or from the store); in-process evaluation writes in place
+    :func:`evaluate_shard_task`, dense or factored.  Every grid point
+    must be covered by exactly one block (guaranteed when the placements
+    come from one plan over the same grid).  Returns
+    :func:`evaluate_plan`'s layout.  For blocks that arrive whole (over
+    the wire, or from the store); in-process evaluation writes in place
     through :func:`evaluate_plan` instead.
     """
     arrays = _empty_result_arrays(grid)
     for placement, block in placed_blocks:
-        for name, view in _block_views(arrays, placement).items():
-            view[...] = block[name]
-        arrays["amdahl_bound"][placement[:2]] = block["amdahl_bound"]
-    return arrays
+        _scatter_block(grid, arrays, placement, block, _TIMING_FIELDS)
+    return _expanded(grid, arrays)
 
 
 def finalize_sweep_result(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from repro.core.axes import (
     GRIDTYPE_AUTO,
     LOG2_HASHMAP_INHERIT,
     PER_LEVEL_SCALE_INHERIT,
+    TIMING_FIELD_AXES,
     EncodingVariant,
     axis as axis_spec,
 )
@@ -42,7 +43,8 @@ from repro.gpu.baseline import FHD_PIXELS, baseline_kernel_times_ms
 
 
 #: the per-point timing fields of :func:`emulate_batch` (and of every
-#: dense sweep array), in result order
+#: sweep result), in result order; the axes each varies along are
+#: declared with the axes (:data:`repro.core.axes.TIMING_FIELD_AXES`)
 TIMING_FIELDS = (
     "baseline_ms",
     "accelerated_ms",
@@ -51,6 +53,24 @@ TIMING_FIELDS = (
     "dma_ms",
     "fused_rest_ms",
 )
+
+
+@lru_cache(maxsize=None)  # a few (field, axes) pairs, asked per block
+def factor_index(name: str, fields: Tuple[str, ...]) -> Tuple[slice, ...]:
+    """Index collapsing an array over axes ``fields`` onto ``name``'s
+    factor: cell 0 of every axis the field does not vary along."""
+    varying = TIMING_FIELD_AXES[name]
+    return tuple(
+        slice(None) if field in varying else slice(0, 1) for field in fields
+    )
+
+
+def factor_shape(name: str, fields: Tuple[str, ...], shape) -> Tuple[int, ...]:
+    """Shape of timing field ``name``'s factor over axes ``fields``."""
+    return tuple(
+        int(n) if cut.stop is None else 1
+        for cut, n in zip(factor_index(name, fields), shape)
+    )
 
 
 @dataclass(frozen=True)
@@ -218,7 +238,7 @@ def emulate_batch(
     gridtypes=None,
     log2_hashmap_sizes=None,
     per_level_scales=None,
-    out: Optional[Dict[str, np.ndarray]] = None,
+    out: Optional[np.ndarray] = None,
 ) -> Dict[str, np.ndarray]:
     """Vectorized emulator: every :class:`EmulationResult` field as an array.
 
@@ -246,14 +266,15 @@ def emulate_batch(
     geometry, spill penalty, defaults for unswept axes); its own
     ``scale_factor`` is ignored in favour of the ``scale_factors`` axis.
 
-    ``out`` maps every timing field (``baseline_ms``, ``accelerated_ms``,
-    ``encoding_engine_ms``, ``mlp_engine_ms``, ``dma_ms``,
-    ``fused_rest_ms``) to a caller-owned destination array of the
-    result shape — typically a slice of a whole grid's preallocated
-    result arrays.  Each field is then written straight into its view
-    (the pipeline total computed into its slot), no block-sized copy is
-    made, and the returned dict holds the ``out`` views plus the scalar
-    ``amdahl_bound``; ``speedup`` is only built without ``out``.
+    Only ``accelerated_ms`` is materialized at the result shape; the
+    other timing fields are their factors
+    (:data:`~repro.core.axes.TIMING_FIELD_AXES`), returned as read-only
+    stride-0 :func:`numpy.broadcast_to` views of the result shape.
+    ``out`` is an optional caller-owned destination for
+    ``accelerated_ms`` — typically a window of a whole grid's
+    preallocated array — that the pipeline total is computed straight
+    into; the returned dict then holds ``out`` and the bare factors,
+    which broadcast against it, and no ``speedup``.
     """
     if app not in APP_NAMES:
         raise ValueError(f"unknown app {app!r}")
@@ -402,26 +423,24 @@ def emulate_batch(
     target = shape if architectural else shape[:2]
     fresh = out is None
     if fresh:
-        out = {name: np.empty(target) for name in TIMING_FIELDS}
-    else:
-        for name in TIMING_FIELDS:
-            if name not in out or out[name].shape != target:
-                raise ValueError(
-                    f"out[{name!r}] must be an array of shape {target}"
-                )
-
-    def hypercube(view):  # (S, P) -> (S, P, 1, 1, 1, 1), always a view
-        return view[(Ellipsis,) + (None,) * (len(shape) - view.ndim)]
-
+        out = np.empty(target)
+    elif out.shape != target:
+        raise ValueError(f"out must be an array of shape {target}")
     pipeline_total_ms_batch(
         np.expand_dims(ngpc_time, 5), rest_nd, batches_nd,
-        out=hypercube(out["accelerated_ms"]),
+        # (S, P) -> (S, P, 1, 1, 1, 1): a view of the classic plane
+        out=out[(Ellipsis,) + (None,) * (len(shape) - out.ndim)],
     )  # (S, P, C, G, E, B[, T, H, R])
-    for name, source in sources.items():
-        np.copyto(hypercube(out[name]), source)
-    result = {name: out[name] for name in TIMING_FIELDS}
     if fresh:
-        result["speedup"] = result["baseline_ms"] / result["accelerated_ms"]
+        sources = {n: np.broadcast_to(s, shape) for n, s in sources.items()}
+    if not architectural:  # drop the singleton architecture axes
+        sources = {n: s.reshape(s.shape[:2]) for n, s in sources.items()}
+    result = {
+        name: out if name == "accelerated_ms" else sources[name]
+        for name in TIMING_FIELDS
+    }
+    if fresh:
+        result["speedup"] = result["baseline_ms"] / out
     result["amdahl_bound"] = amdahl_bound(app, scheme)
     return result
 

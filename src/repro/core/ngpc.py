@@ -189,16 +189,23 @@ def pipeline_total_ms_batch(ngpc_time_ms, rest_time_ms, n_batches, out=None):
     ``n_batches`` may be a scalar or an integer array (a swept pipeline
     axis); it broadcasts elementwise against the stage times with the
     same arithmetic as the scalar makespan.  ``out``, when given, is the
-    destination array of the final addition (the operands broadcast to
-    its shape).
+    destination array (the operands broadcast to its shape).  The
+    full-shape steps run in place in ``out`` plus one scratch array, in
+    the scalar makespan's operation order, so the values are unchanged.
     """
     n_batches = np.asarray(n_batches)
     if np.any(n_batches < 1):
         raise ValueError("need at least one batch")
-    ngpc_batch = ngpc_time_ms / n_batches
+    if out is None:
+        out = np.empty(
+            np.broadcast(ngpc_time_ms, rest_time_ms, n_batches).shape
+        )
+    ngpc_batch = np.divide(ngpc_time_ms, n_batches, out=np.empty(out.shape))
     rest_batch = rest_time_ms / n_batches
-    bottleneck = np.maximum(ngpc_batch, rest_batch)
-    return np.add(ngpc_batch + (n_batches - 1) * bottleneck, rest_batch, out=out)
+    np.maximum(ngpc_batch, rest_batch, out=out)  # the bottleneck stage
+    np.multiply(n_batches - 1, out, out=out)
+    np.add(ngpc_batch, out, out=out)
+    return np.add(out, rest_batch, out=out)
 
 
 class NGPC:

@@ -7,7 +7,8 @@ replica mounting one directory:
 
 - :class:`ResultStore` — sqlite catalogue + npz columnar arrays,
   memory-mapped on load, atomic ``os.replace`` writes, corrupt entries
-  quarantined with a :class:`StoreCorruptionWarning` and re-evaluated.
+  quarantined with a :class:`StoreCorruptionWarning` and re-evaluated,
+  failed writes degraded to a :class:`StoreWriteWarning`.
 - :func:`sweep_with_store` / :func:`evaluate_with_block_cache` — the
   tiered evaluation ladder (RAM -> whole-sweep disk -> block-level disk
   -> evaluate the delta), slotted under
@@ -31,12 +32,14 @@ from repro.store.result_store import (
     BLOCK_ARRAY_FIELDS,
     ResultStore,
     StoreCorruptionWarning,
+    StoreWriteWarning,
     fingerprint_digest,
 )
 from repro.store.tiered import (
     STORE_ENGINE,
     TIER_COUNTERS,
     evaluate_with_block_cache,
+    fetch_blocks,
     new_tier_counters,
     sweep_with_store,
 )
@@ -47,8 +50,10 @@ __all__ = [
     "STORE_ENGINE",
     "StoreCorruptionWarning",
     "StoreIntegrityError",
+    "StoreWriteWarning",
     "TIER_COUNTERS",
     "evaluate_with_block_cache",
+    "fetch_blocks",
     "fingerprint_digest",
     "new_tier_counters",
     "read_arrays",

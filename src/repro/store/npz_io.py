@@ -4,10 +4,10 @@ Two functions the store builds on:
 
 - :func:`write_arrays_atomic` — ``np.savez`` (uncompressed, so members
   stay mappable) into a same-directory temp file, fsync, then one
-  ``os.replace`` onto the final path.  A reader never observes a
-  half-written file, and concurrent replicas racing to persist the same
-  content-addressed entry converge on identical bytes — last writer
-  wins harmlessly.
+  ``os.replace`` onto the final path and an fsync of the directory.
+  A reader never observes a half-written file, and concurrent replicas
+  racing to persist the same content-addressed entry converge on
+  identical bytes — last writer wins harmlessly.
 - :func:`read_arrays` — open an npz and return its members as
   **memory-mapped** read-only arrays where possible.  NumPy's own
   ``np.load(..., mmap_mode=...)`` silently ignores the mmap request for
@@ -63,7 +63,9 @@ def write_arrays_atomic(path: str, arrays: Dict[str, np.ndarray]) -> None:
     The temp file lives in the target directory so ``os.replace`` stays
     a same-filesystem rename (atomic on POSIX); it is fsynced before
     the rename so a crash cannot leave the final name pointing at
-    unsynced pages.
+    unsynced pages, and the directory is fsynced after it so the
+    rename itself survives a crash (Pillai et al., "All File Systems
+    Are Not Created Equal", OSDI 2014).
     """
     directory = os.path.dirname(path) or "."
     fd, tmp_path = tempfile.mkstemp(
@@ -75,6 +77,11 @@ def write_arrays_atomic(path: str, arrays: Dict[str, np.ndarray]) -> None:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     except BaseException:
         try:
             os.unlink(tmp_path)

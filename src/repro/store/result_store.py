@@ -24,10 +24,15 @@ self-describing — a ``__meta__`` member carries the grid axes, engine
 label, and payload schema version — so no entry depends on the index
 to be readable.
 
+Entries stamped ``"layout": "factored"`` hold each timing field at its
+factor shape (:data:`~repro.core.axes.TIMING_FIELD_AXES`); older,
+unstamped entries hold them dense and still load.
+
 Corrupt or truncated entries degrade, never fail: the store emits a
 :class:`StoreCorruptionWarning`, quarantines the file (renamed to
 ``*.corrupt``), drops its index row, and reports a miss so the caller
-re-evaluates and re-persists a clean copy.
+re-evaluates and re-persists a clean copy.  A failed write emits a
+:class:`StoreWriteWarning` instead and the computed result still serves.
 """
 
 from __future__ import annotations
@@ -43,8 +48,10 @@ from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
-from repro.core.dse import (
+from repro.core.axes import CONFIG_AXIS_FIELDS
+from repro.core.dse import (  # BLOCK_ARRAY_FIELDS: re-exported
     _TIMING_FIELDS,
+    BLOCK_ARRAY_FIELDS,
     PAYLOAD_SCHEMA_VERSION,
     RESULT_ARRAY_FIELDS,
     SweepGrid,
@@ -52,17 +59,18 @@ from repro.core.dse import (
     check_schema_version,
     result_array_shapes,
 )
+from repro.core.emulator import factor_index, factor_shape
 from repro.store.npz_io import (
     StoreIntegrityError,
     read_arrays,
     write_arrays_atomic,
 )
 
-#: array fields persisted per block (the shard-task evaluation output)
-BLOCK_ARRAY_FIELDS = _TIMING_FIELDS + ("amdahl_bound",)
-
 #: the npz member carrying the entry's JSON metadata
 _META_MEMBER = "__meta__"
+
+#: the ``layout`` meta stamp of entries holding timing factors
+FACTORED_LAYOUT = "factored"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS entries (
@@ -80,6 +88,10 @@ CREATE TABLE IF NOT EXISTS entries (
 
 class StoreCorruptionWarning(UserWarning):
     """A persisted entry (or the index itself) was corrupt and dropped."""
+
+
+class StoreWriteWarning(UserWarning):
+    """An entry could not be persisted; the computed result still serves."""
 
 
 def fingerprint_digest(key: Hashable) -> str:
@@ -125,6 +137,7 @@ class ResultStore:
             "block_misses": 0,
             "block_saves": 0,
             "corrupt_dropped": 0,
+            "write_errors": 0,
         }
         self._open_index()
 
@@ -288,6 +301,24 @@ class ResultStore:
                 pass
         self._forget(kind, digest)
 
+    def _write(self, kind: str, path: str, arrays: Dict) -> bool:
+        """Persist one entry; an ``OSError`` (disk full, read-only
+        volume, lost permission) degrades to a warning.  Returns whether
+        the entry was written."""
+        try:
+            write_arrays_atomic(path, arrays)
+        except OSError as exc:
+            warnings.warn(
+                f"result store could not write {kind} entry {path} "
+                f"({exc}); the result is served but not persisted",
+                StoreWriteWarning,
+                stacklevel=3,
+            )
+            self.counters["write_errors"] += 1
+            return False
+        self.counters[f"{kind}_saves"] += 1
+        return True
+
     @staticmethod
     def _read_meta(arrays: Dict[str, np.ndarray]) -> Dict:
         raw = arrays.pop(_META_MEMBER, None)
@@ -302,11 +333,12 @@ class ResultStore:
     def sweep_path(self, key: Hashable) -> str:
         return os.path.join(self._sweep_dir, fingerprint_digest(key) + ".npz")
 
-    def save_sweep(self, key: Hashable, result: SweepResult) -> str:
+    def save_sweep(self, key: Hashable, result: SweepResult) -> Optional[str]:
         """Persist a whole :class:`SweepResult` under its fingerprint.
 
         Content addressing makes the write idempotent: an entry already
         on disk (this replica's or another's) is left untouched.
+        Returns the entry path, or None when the write failed.
         """
         digest = fingerprint_digest(key)
         path = os.path.join(self._sweep_dir, digest + ".npz")
@@ -316,17 +348,16 @@ class ResultStore:
                 "schema_version": PAYLOAD_SCHEMA_VERSION,
                 "grid": result.grid.to_dict(),
                 "engine": result.engine,
+                "layout": FACTORED_LAYOUT,
             }
-            # np.asarray, not ascontiguousarray: the latter promotes the
-            # 0-d Amdahl scalars of block entries to 1-d and breaks the
-            # round trip; np.savez copies to contiguous itself
             arrays = {
-                name: np.asarray(getattr(result, name), dtype=np.float64)
+                name: result.factor(name) if name in _TIMING_FIELDS
+                else getattr(result, name)
                 for name in RESULT_ARRAY_FIELDS
             }
             arrays[_META_MEMBER] = _meta_array(meta)
-            write_arrays_atomic(path, arrays)
-            self.counters["sweep_saves"] += 1
+            if not self._write("sweep", path, arrays):
+                return None
         self._record(
             "sweep", digest, result.grid.size, os.path.getsize(path),
             engine=result.engine, grid_json=grid_json,
@@ -352,6 +383,8 @@ class ResultStore:
             check_schema_version(meta.get("schema_version"))
             grid = SweepGrid.from_dict(meta["grid"]).resolve()
             expected = result_array_shapes(grid)
+            if not self._factored(meta):
+                expected.update((name, grid.shape) for name in _TIMING_FIELDS)
             for name, shape in expected.items():
                 if name not in arrays:
                     raise ValueError(f"entry is missing array {name!r}")
@@ -384,21 +417,38 @@ class ResultStore:
             )
         return result
 
+    @staticmethod
+    def _factored(meta: Dict) -> bool:
+        """True for a factored entry, False for a dense (earlier) one."""
+        layout = meta.get("layout")
+        if layout not in (None, FACTORED_LAYOUT):
+            raise ValueError(f"unknown store entry layout {layout!r}")
+        return layout == FACTORED_LAYOUT
+
     # -- blocks --------------------------------------------------------------
-    def save_block(self, key: Hashable, arrays: Dict[str, np.ndarray]) -> str:
-        """Persist one evaluated block (timing fields + Amdahl bound)."""
+    def save_block(
+        self, key: Hashable, arrays: Dict[str, np.ndarray]
+    ) -> Optional[str]:
+        """Persist one evaluated block's timing factors + Amdahl bound.
+
+        Returns the entry path, or None when the write failed.
+        """
         digest = fingerprint_digest(key)
         path = os.path.join(self._block_dir, digest + ".npz")
+        shape = np.shape(arrays["accelerated_ms"])
         if not os.path.exists(path):
+            fields = CONFIG_AXIS_FIELDS[:len(shape)]
             payload = {
-                name: np.asarray(arrays[name], dtype=np.float64)
-                for name in BLOCK_ARRAY_FIELDS
+                name: arrays[name][factor_index(name, fields)]
+                for name in _TIMING_FIELDS
             }
-            write_arrays_atomic(path, payload)
-            self.counters["block_saves"] += 1
-        n_points = int(
-            np.prod(np.asarray(arrays["accelerated_ms"]).shape, dtype=np.int64)
-        )
+            # np.asarray keeps the 0-d Amdahl scalar 0-d (np.savez
+            # copies to contiguous itself)
+            payload["amdahl_bound"] = np.asarray(arrays["amdahl_bound"])
+            payload[_META_MEMBER] = _meta_array({"layout": FACTORED_LAYOUT})
+            if not self._write("block", path, payload):
+                return None
+        n_points = int(np.prod(shape, dtype=np.int64))
         self._record("block", digest, n_points, os.path.getsize(path))
         return path
 
@@ -411,17 +461,23 @@ class ResultStore:
         if not os.path.exists(path):
             self.counters["block_misses"] += 1
             return None
+        expected_shape = tuple(expected_shape)
+        fields = CONFIG_AXIS_FIELDS[:len(expected_shape)]
         try:
             arrays = read_arrays(path, mmap=self.mmap)
-            self._read_meta(arrays)
+            factored = self._factored(self._read_meta(arrays))
             for name in BLOCK_ARRAY_FIELDS:
                 if name not in arrays:
                     raise ValueError(f"entry is missing array {name!r}")
             for name in _TIMING_FIELDS:
-                if arrays[name].shape != tuple(expected_shape):
+                shape = (
+                    factor_shape(name, fields, expected_shape) if factored
+                    else expected_shape
+                )
+                if arrays[name].shape != shape:
                     raise ValueError(
                         f"array {name!r} has shape {arrays[name].shape}, "
-                        f"expected {tuple(expected_shape)}"
+                        f"expected {shape}"
                     )
         except (StoreIntegrityError, ValueError, KeyError) as exc:
             self._quarantine("block", digest, path, exc)

@@ -27,13 +27,14 @@ granularity) — the numbers behind the service's tiered ``/stats``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Tuple
+
+import numpy as np
 
 from repro.core.config import NGPCConfig
 from repro.core.dse import (
     _SWEEP_CACHE,
     _SWEEP_CACHE_MAX_POINTS,
-    _TIMING_FIELDS,
     SweepGrid,
     SweepResult,
     assemble_shard_blocks,
@@ -72,6 +73,43 @@ def _bump(counters: Optional[Dict[str, int]], name: str, n: int = 1) -> None:
         counters[name] = counters.get(name, 0) + n
 
 
+def fetch_blocks(
+    store: Optional[ResultStore],
+    plan,
+    ngpc: Optional[NGPCConfig] = None,
+    counters: Optional[Dict[str, int]] = None,
+) -> Iterator[Tuple[Tuple, Dict]]:
+    """Yield ``(placement, block)`` for every entry of ``plan``, in order.
+
+    The one load-or-evaluate-and-save block loop.  With a ``store``,
+    a persisted block is loaded memory-mapped (``blocks_cached``) and a
+    missing one evaluates and is persisted before it is yielded
+    (``blocks_evaluated``), so a crash mid-sweep still banks the blocks
+    already evaluated.  Without one, every block evaluates.  A block's
+    ``accelerated_ms`` is dense; the other timing fields are factors
+    (dense in old store entries), which broadcast against it.
+    """
+    for placement, task in plan:
+        block = None
+        if store is not None:
+            key = block_fingerprint(task, ngpc)
+            block = store.load_block(key, shard_task_shape(placement))
+            if block is not None:
+                _bump(counters, "blocks_cached")
+        if block is None:
+            app, scheme, scales, pixels = task[:4]
+            # out=: no throwaway full-shape speedup array
+            block = emulate_batch(
+                app, scheme, scales, pixels, ngpc,
+                out=np.empty(shard_task_shape(placement)),
+                **task_batch_kwargs(task),
+            )
+            if store is not None:
+                store.save_block(key, block)
+                _bump(counters, "blocks_evaluated")
+        yield placement, block
+
+
 def evaluate_with_block_cache(
     store: ResultStore,
     grid: SweepGrid,
@@ -106,21 +144,7 @@ def evaluate_with_block_cache(
         on_plan(len(plan))
     _bump(counters, "blocks_total", len(plan))
     placed = []
-    for placement, task in plan:
-        key = block_fingerprint(task, ngpc)
-        block = store.load_block(key, shard_task_shape(placement))
-        if block is not None:
-            _bump(counters, "blocks_cached")
-        else:
-            app, scheme, scales, pixels = task[:4]
-            evaluated = emulate_batch(
-                app, scheme, scales, pixels, ngpc,
-                **task_batch_kwargs(task),
-            )
-            block = {name: evaluated[name] for name in _TIMING_FIELDS}
-            block["amdahl_bound"] = evaluated["amdahl_bound"]
-            store.save_block(key, block)
-            _bump(counters, "blocks_evaluated")
+    for placement, block in fetch_blocks(store, plan, ngpc, counters):
         placed.append((placement, block))
         if on_block is not None:
             on_block(placement, block)

@@ -15,12 +15,17 @@ The disk tier's contract, end to end:
   re-evaluates.
 - **Content addressing**: perturbing the calibration constants changes
   every fingerprint, so stale entries are never addressed again.
+- **Write errors degrade too**: a full, read-only or forbidden volume
+  emits a :class:`StoreWriteWarning`, counts a ``write_errors`` and
+  still returns the computed result.
 """
 
 import asyncio
+import errno
 import json
 import os
 import shutil
+import stat
 import warnings
 
 import numpy as np
@@ -42,6 +47,7 @@ from repro.store import (
     ResultStore,
     StoreCorruptionWarning,
     StoreIntegrityError,
+    StoreWriteWarning,
     fingerprint_digest,
     new_tier_counters,
     read_arrays,
@@ -474,6 +480,25 @@ class TestNpzIO:
         with pytest.raises(StoreIntegrityError):
             read_arrays(path)
 
+    def test_directory_is_fsynced_after_the_rename(self, tmp_path, monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", stat.S_ISDIR(os.fstat(fd).st_mode)))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", None))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        write_arrays_atomic(str(tmp_path / "a.npz"), {"a": np.zeros(3)})
+        renamed = events.index(("replace", None))
+        assert ("fsync", False) in events[:renamed]  # the temp file
+        assert ("fsync", True) in events[renamed + 1:]  # its directory
+
     def test_garbage_raises_integrity_error(self, tmp_path):
         path = str(tmp_path / "garbage.npz")
         with open(path, "wb") as f:
@@ -510,3 +535,81 @@ class TestStats:
         # the persisted catalogue is visible through the same endpoint
         assert stats["store"]["sweeps"]["count"] == 1
         assert json.dumps(stats)  # /stats must stay JSON-serializable
+
+
+# ---------------------------------------------------------------------------
+# write errors degrade like read errors
+# ---------------------------------------------------------------------------
+
+WRITE_ERRNOS = (errno.ENOSPC, errno.EROFS, errno.EACCES)
+
+
+@pytest.fixture(params=WRITE_ERRNOS, ids=errno.errorcode.get)
+def failing_writes(request, monkeypatch):
+    """Every store write raises ``OSError(errno)``: a full, read-only or
+    forbidden volume."""
+    code = request.param
+
+    def refuse(path, arrays):
+        raise OSError(code, os.strerror(code), path)
+
+    monkeypatch.setattr("repro.store.result_store.write_arrays_atomic", refuse)
+    return code
+
+
+class TestWriteErrors:
+    def test_store_tier_returns_the_computed_sweep(
+        self, tmp_path, failing_writes
+    ):
+        store = ResultStore(str(tmp_path / "store"))
+        grid = _resolved()
+        counters = new_tier_counters()
+        with pytest.warns(StoreWriteWarning, match="not persisted"):
+            result = sweep_with_store(
+                store, grid, counters=counters, use_cache=False
+            )
+        assert_bit_identical(
+            result, sweep_grid(grid, engine="vectorized", use_cache=False)
+        )
+        n_blocks = counters["blocks_total"]
+        assert counters["blocks_evaluated"] == n_blocks > 0
+        assert store.counters["write_errors"] == n_blocks + 1
+        assert store.counters["block_saves"] == store.counters["sweep_saves"] == 0
+        stats = store.stats()
+        assert stats["write_errors"] == n_blocks + 1
+        assert stats["sweeps"]["count"] == stats["blocks"]["count"] == 0
+        assert os.listdir(os.path.join(store.root, "sweeps")) == []
+
+    def test_service_serves_and_reports_write_errors(
+        self, tmp_path, failing_writes
+    ):
+        service = SweepService(engine="vectorized", store=str(tmp_path / "s"))
+        with pytest.warns(StoreWriteWarning):
+            served = asyncio.run(service.sweep(GRID))
+        assert_bit_identical(
+            served, sweep_grid(_resolved(), engine="vectorized", use_cache=False)
+        )
+        stats = service.stats()
+        assert stats["store"]["write_errors"] > 0
+        assert stats["cache"]["evaluations"] == 1
+        assert json.dumps(stats)
+
+    def test_adaptive_store_runner_answers_exactly(
+        self, tmp_path, failing_writes
+    ):
+        from repro.explore import (
+            AdaptiveExplorer, LocalBlockRunner, StoreBlockRunner,
+        )
+
+        store = ResultStore(str(tmp_path / "store"))
+        grid = _resolved()
+        explorer = AdaptiveExplorer(
+            grid, StoreBlockRunner(LocalBlockRunner(), store)
+        )
+        with pytest.warns(StoreWriteWarning):
+            front = explorer.pareto()
+        dense = sweep_grid(grid, engine="vectorized", use_cache=False)
+        assert [p.to_dict() for p in front] == [
+            p.to_dict() for p in dense.pareto_front()
+        ]
+        assert store.counters["write_errors"] == store.counters["block_misses"] > 0

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.sensitivity import perturbed_overheads
 from repro.apps.params import APP_NAMES, ENCODING_SCHEMES
-from repro.core.axes import AXES
+from repro.core.axes import AXES, CONFIG_AXIS_FIELDS
 from repro.core.cache import cache_stats, clear_model_caches
 from repro.core.config import NFPConfig, NGPCConfig, SCALE_FACTORS
 from repro.core.dse import (
@@ -22,7 +22,12 @@ from repro.core.dse import (
     pareto_front,
     sweep_grid,
 )
-from repro.core.emulator import emulate, emulate_batch, emulate_uncached
+from repro.core.emulator import (
+    emulate,
+    emulate_batch,
+    emulate_uncached,
+    factor_shape,
+)
 from repro.core.encoding_engine import shift_modulo
 from repro.core.query import config_axes
 from repro.core.energy import energy_per_frame, energy_per_frame_batch
@@ -158,7 +163,12 @@ batch_counts = st.integers(min_value=1, max_value=64)
 
 
 class TestEmulateBatchInPlace:
-    """``emulate_batch(out=...)`` writes the returned-dict values in place."""
+    """``emulate_batch(out=...)`` computes ``accelerated_ms`` in place.
+
+    ``out`` is the one dense destination; every other timing field comes
+    back as its small factor (a read-only broadcast view without
+    ``out``).
+    """
 
     CALLS = {
         "classic": (
@@ -182,26 +192,33 @@ class TestEmulateBatchInPlace:
         args, kwargs = self.CALLS[call]
         fresh = emulate_batch(*args, **kwargs)
         shape = fresh["accelerated_ms"].shape
-        # strided destinations: every other element of a larger array
-        parents = {
-            name: np.full(shape + (2,), np.nan) for name in _FIELDS
-        }
-        out = {name: parent[..., 1] for name, parent in parents.items()}
+        # a strided destination: every other element of a larger array
+        parent = np.full(shape + (2,), np.nan)
+        out = parent[..., 1]
         written = emulate_batch(*args, out=out, **kwargs)
         assert "speedup" not in written
         assert written["amdahl_bound"] == fresh["amdahl_bound"]
+        assert written["accelerated_ms"] is out
+        np.testing.assert_array_equal(out, fresh["accelerated_ms"])
+        assert np.isnan(parent[..., 0]).all()  # no spill
         for name in _FIELDS:
-            assert written[name] is out[name], name
-            np.testing.assert_array_equal(out[name], fresh[name], err_msg=name)
-            assert np.isnan(parents[name][..., 0]).all(), name  # no spill
+            assert fresh[name].shape == shape, name
+            np.testing.assert_array_equal(
+                np.broadcast_to(written[name], shape), fresh[name],
+                err_msg=name,
+            )
+            if name != "accelerated_ms":
+                assert not fresh[name].flags.writeable, name
+                # the factor, never a block-sized array
+                assert written[name].shape == factor_shape(
+                    name, CONFIG_AXIS_FIELDS[:len(shape)], shape
+                ), name
 
     def test_out_shape_mismatch_raises(self):
         args, kwargs = self.CALLS["hypercube"]
         shape = emulate_batch(*args, **kwargs)["accelerated_ms"].shape
-        out = {name: np.empty(shape) for name in _FIELDS}
-        out["dma_ms"] = np.empty(shape[:-1])
-        with pytest.raises(ValueError, match="dma_ms"):
-            emulate_batch(*args, out=out, **kwargs)
+        with pytest.raises(ValueError, match="out must be"):
+            emulate_batch(*args, out=np.empty(shape[:-1]), **kwargs)
 
 
 class TestEvaluatePlan:
